@@ -6,8 +6,8 @@ use dg_core::{Application, Effects, ProcessId};
 /// process with the counter incremented, until the counter reaches
 /// `limit`. Each delivery produces exactly one send and no outputs, so a
 /// failure-free run exercises the engine's steady-state delivery path
-/// and nothing else — the workload behind the E14 hot-path experiment
-/// and the allocation-regression test.
+/// and nothing else — the workload behind E15's wire-byte and
+/// allocation probes and the allocation-regression test.
 ///
 /// The transition is implemented in [`Application::on_message_into`]
 /// (with `on_message` delegating to it), so a correctly wired engine

@@ -25,12 +25,7 @@ type In = Input<Wire<SvcMsg>, SvcMsg>;
 type Eff = Effect<Wire<SvcMsg>, SvcMsg>;
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(5_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving().with_gossip(5_000)
 }
 
 /// The sans-IO cluster: engines, the in-flight message queue, a clock.

@@ -22,7 +22,9 @@
 
 use std::collections::HashMap;
 
-use dg_core::{run_effects, Application, Effect, Effects, Input, ProcessId, ProtocolEngine};
+use dg_core::{
+    run_effects, Application, Effect, EffectSink, Effects, Input, ProcessId, ProtocolEngine,
+};
 use dg_ftvc::{wire as clockwire, VectorClock};
 use dg_harness::ProtoReport;
 use dg_simnet::{Actor, Context};
@@ -463,7 +465,7 @@ impl<A: Application> ProtocolEngine for PkEngine<A> {
     type Cmd = ();
     type Out = ();
 
-    fn handle(&mut self, input: Input<PkWire<A::Msg>>) -> Vec<Effect<PkWire<A::Msg>>> {
+    fn handle_into(&mut self, input: Input<PkWire<A::Msg>>, sink: &mut EffectSink<PkWire<A::Msg>>) {
         match input {
             Input::Start { .. } => self.on_start(),
             Input::Deliver { from, wire, now } => self.on_wire(from, wire, now),
@@ -473,7 +475,7 @@ impl<A: Application> ProtocolEngine for PkEngine<A> {
             Input::Restart { now } => self.on_restart(now),
             Input::Fault(_) => {} // no storage-fault model in this baseline
         }
-        std::mem::take(&mut self.effects)
+        sink.append(&mut self.effects);
     }
 
     fn state_digest(&self) -> u64 {

@@ -26,7 +26,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dg_core::{run_effects, Application, Effect, Effects, Input, ProcessId, ProtocolEngine};
+use dg_core::{
+    run_effects, Application, Effect, EffectSink, Effects, Input, ProcessId, ProtocolEngine,
+};
 use dg_ftvc::{wire::varint_len, Entry, Version};
 use dg_harness::ProtoReport;
 use dg_simnet::{Actor, Context};
@@ -454,7 +456,7 @@ impl<A: Application> ProtocolEngine for SyEngine<A> {
     type Cmd = ();
     type Out = ();
 
-    fn handle(&mut self, input: Input<SyWire<A::Msg>>) -> Vec<Effect<SyWire<A::Msg>>> {
+    fn handle_into(&mut self, input: Input<SyWire<A::Msg>>, sink: &mut EffectSink<SyWire<A::Msg>>) {
         match input {
             Input::Start { .. } => self.on_start(),
             Input::Deliver { from, wire, .. } => self.on_wire(from, wire),
@@ -464,7 +466,7 @@ impl<A: Application> ProtocolEngine for SyEngine<A> {
             Input::Restart { .. } => self.on_restart(),
             Input::Fault(_) => {} // no storage-fault model in this baseline
         }
-        std::mem::take(&mut self.effects)
+        sink.append(&mut self.effects);
     }
 
     fn state_digest(&self) -> u64 {

@@ -3,15 +3,15 @@
 //! ```text
 //! experiments [all|table1|rollbacks|piggyback|asynchrony|concurrent|
 //!              ordering|overhead|optimism|domino|maxstate|commit|gc|lossy|
-//!              engine|hotpath|scaling|service|load|storage]
+//!              engine|scaling|service|load|storage]
 //!             [--quick]
 //! ```
 //!
 //! Exits non-zero if any run violates the consistency oracle.
 //!
 //! Built with `--features bench-alloc`, the binary installs a counting
-//! global allocator and the `hotpath`/`scaling` experiments report
-//! allocations per engine input (otherwise that column reads `n/a`).
+//! global allocator and the `scaling` experiment reports allocations
+//! per engine input (otherwise that column reads `n/a`).
 
 use dg_bench::*;
 
@@ -149,23 +149,14 @@ fn main() {
     }
     if run("engine") {
         println!("== E13: engine-only event throughput (sans-IO vs simnet actor) ==\n");
-        let repeats = if quick { 8 } else { 32 };
-        let (t, json) = engine_throughput(repeats);
+        let (t, json) = engine_throughput(quick);
         show(&t);
         std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
         println!("wrote BENCH_engine.json");
         println!();
     }
-    if run("hotpath") {
-        println!("== E14: hot-path throughput, wire bytes, and allocations ==\n");
-        let (t, json) = hotpath(quick, ALLOC_COUNTER);
-        show(&t);
-        std::fs::write("BENCH_hotpath.json", json).expect("write BENCH_hotpath.json");
-        println!("wrote BENCH_hotpath.json");
-        println!();
-    }
     if run("scaling") {
-        println!("== E15: scaling with n (replay, live drivers, allocations) ==\n");
+        println!("== E15: scaling with n (replay, token traffic, wire bytes, allocations) ==\n");
         let (t, json) = scaling(quick, ALLOC_COUNTER);
         show(&t);
         std::fs::write("BENCH_scaling.json", json).expect("write BENCH_scaling.json");

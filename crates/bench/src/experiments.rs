@@ -11,6 +11,16 @@ use dg_storage::StorageCosts;
 use crate::protocols::{run_dg_sim, run_protocol, ExpConfig, ExpRun, Protocol};
 use crate::table::TextTable;
 
+/// The opening of every `BENCH_*.json` record — which experiment, in
+/// which mode, on how many cores — written in one place so the records
+/// cannot drift apart (CI checks these keys on every file).
+fn bench_header(experiment: &str, quick: bool) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    format!(
+        "{{\n  \"experiment\": \"{experiment}\",\n  \"quick\": {quick},\n  \"cores\": {cores},\n"
+    )
+}
+
 /// Default mesh workload for comparisons: dense enough that a crash
 /// mid-run creates real orphan structure.
 pub fn default_chatter() -> MeshChatter {
@@ -794,7 +804,7 @@ pub fn lossy(n: usize, seeds: u64) -> (TextTable, u64) {
 
 /// Per-process `Input` traces of an `n`-process mesh-chatter run with
 /// one crash/restart, recorded under a minimal deterministic router
-/// with logical time. E13, E14 and E15 replay these traces into fresh
+/// with logical time. E13 and E15 replay these traces into fresh
 /// engines to measure raw dispatch throughput.
 ///
 /// Model: every process has its own FIFO inbox; each 30 µs step, every
@@ -819,7 +829,7 @@ pub fn record_mesh_trace(
 
     use dg_apps::ChatMsg;
     use dg_core::engine::{Effect, Engine, Input, ProtocolEngine};
-    use dg_core::Wire;
+    use dg_core::{EffectSink, Wire};
 
     type In = Input<Wire<ChatMsg>, ChatMsg>;
     const CAP_INPUTS: usize = 50_000;
@@ -835,19 +845,20 @@ pub fn record_mesh_trace(
     let mut now = 0u64;
     let mut down = vec![false; n];
     let mut total = 0usize;
+    let mut sink: EffectSink<Wire<ChatMsg>, ChatMsg> = EffectSink::new();
 
-    let feed = |engines: &mut Vec<Engine<MeshChatter>>,
-                traces: &mut Vec<Vec<In>>,
-                timers: &mut Vec<Vec<(u64, u32)>>,
-                inboxes: &mut Vec<VecDeque<(ProcessId, Wire<ChatMsg>)>>,
-                total: &mut usize,
-                now: u64,
-                p: ProcessId,
-                input: In| {
-        let effects = engines[p.index()].handle(input.clone());
+    let mut feed = |engines: &mut Vec<Engine<MeshChatter>>,
+                    traces: &mut Vec<Vec<In>>,
+                    timers: &mut Vec<Vec<(u64, u32)>>,
+                    inboxes: &mut Vec<VecDeque<(ProcessId, Wire<ChatMsg>)>>,
+                    total: &mut usize,
+                    now: u64,
+                    p: ProcessId,
+                    input: In| {
+        engines[p.index()].handle_into(input.clone(), &mut sink);
         traces[p.index()].push(input);
         *total += 1;
-        for eff in effects {
+        for eff in sink.drain() {
             match eff {
                 Effect::Send { to, wire, .. } => inboxes[to.index()].push_back((p, wire)),
                 Effect::Broadcast { wire, .. } => {
@@ -967,42 +978,39 @@ pub fn record_mesh_trace(
     traces
 }
 
-/// Measure raw [`Engine::handle`] dispatch throughput — inputs/sec with
-/// no network, no scheduler, no IO — against the same protocol running
-/// as a `DgProcess` actor under the discrete-event simulator (the only
+/// Measure raw [`dg_core::ProtocolEngine::handle_into`] dispatch
+/// throughput — inputs/sec with no network, no scheduler, no IO —
+/// against the same protocol running as a `DgProcess` actor under the discrete-event simulator (the only
 /// way to run it before the sans-IO refactor). The gap is what the
 /// runtime around the engine costs; the engine number is the ceiling
-/// any runtime (simnet, threaded, netrun) can hope to reach.
+/// any runtime (simnet, netrun) can hope to reach.
 ///
 /// Method: a minimal deterministic router records the full `Input`
 /// trace of an `n`-process mesh-chatter run with one crash/restart;
-/// the engine row replays that trace into fresh engines `repeats`
-/// times and reports aggregate inputs/sec. The simnet row runs the
+/// the engine row replays that trace into fresh engines 32 times (8 in
+/// quick mode) and reports aggregate inputs/sec. The simnet row runs the
 /// equivalent workload end-to-end and reports
 /// engine inputs/sec dispatched by its actors — the same unit, so the
 /// relative column compares like with like.
 ///
 /// Returns the table and a JSON record for `BENCH_engine.json`.
-pub fn engine_throughput(repeats: u32) -> (TextTable, String) {
+pub fn engine_throughput(quick: bool) -> (TextTable, String) {
     use std::time::Instant;
 
     use dg_apps::ChatMsg;
     use dg_core::engine::{Engine, Input, ProtocolEngine};
-    use dg_core::Wire;
+    use dg_core::{EffectSink, Wire};
 
+    let repeats = if quick { 8u32 } else { 32 };
     let n = 4usize;
     let chat = MeshChatter::new(4, 400, 97);
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving();
     type In = Input<Wire<ChatMsg>, ChatMsg>;
     let traces: Vec<Vec<In>> = record_mesh_trace(n, &chat, config);
     let total_inputs: u64 = traces.iter().map(|t| t.len() as u64).sum();
 
     // --- Engine row: replay the trace into fresh engines. ------------
+    let mut sink: EffectSink<Wire<ChatMsg>, ChatMsg> = EffectSink::new();
     let t0 = Instant::now();
     for _ in 0..repeats {
         let mut fresh: Vec<Engine<MeshChatter>> = (0..n)
@@ -1010,7 +1018,9 @@ pub fn engine_throughput(repeats: u32) -> (TextTable, String) {
             .collect();
         for (i, trace) in traces.iter().enumerate() {
             for input in trace {
-                std::hint::black_box(fresh[i].handle(input.clone()));
+                fresh[i].handle_into(input.clone(), &mut sink);
+                std::hint::black_box(sink.as_slice());
+                sink.clear();
             }
         }
     }
@@ -1070,9 +1080,9 @@ pub fn engine_throughput(repeats: u32) -> (TextTable, String) {
         format!("{:.2}", sim_rate / engine_rate),
     ]);
 
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let json = format!(
-        "{{\n  \"experiment\": \"E13_engine_throughput\",\n  \"n\": {n},\n  \"cores\": {cores},\n  \"trace_inputs\": {total_inputs},\n  \"repeats\": {repeats},\n  \"engine\": {{ \"inputs\": {engine_inputs}, \"elapsed_us\": {}, \"inputs_per_sec\": {engine_rate:.0} }},\n  \"simnet_actor\": {{ \"runs\": {sim_runs}, \"inputs\": {sim_inputs}, \"events\": {sim_events}, \"elapsed_us\": {}, \"inputs_per_sec\": {sim_rate:.0} }},\n  \"simnet_relative_throughput\": {:.4}\n}}\n",
+        "{}  \"n\": {n},\n  \"trace_inputs\": {total_inputs},\n  \"repeats\": {repeats},\n  \"engine\": {{ \"inputs\": {engine_inputs}, \"elapsed_us\": {}, \"inputs_per_sec\": {engine_rate:.0} }},\n  \"simnet_actor\": {{ \"runs\": {sim_runs}, \"inputs\": {sim_inputs}, \"events\": {sim_events}, \"elapsed_us\": {}, \"inputs_per_sec\": {sim_rate:.0} }},\n  \"simnet_relative_throughput\": {:.4}\n}}\n",
+        bench_header("E13_engine_throughput", quick),
         engine_elapsed.as_micros(),
         sim_elapsed.as_micros(),
         sim_rate / engine_rate,
@@ -1081,279 +1091,36 @@ pub fn engine_throughput(repeats: u32) -> (TextTable, String) {
 }
 
 // ---------------------------------------------------------------------
-// E14 — hot-path microbenchmark (allocation-free engine dispatch)
+// E15 — scaling with n (replay, token traffic, wire bytes, allocations)
 // ---------------------------------------------------------------------
 
-/// The E13 engine baseline recorded before the hot-path work (the
-/// `engine.inputs_per_sec` figure in the seed `BENCH_engine.json`); the
-/// E14 acceptance target is ≥ 1.5× this number at `n = 4`.
-pub const E13_BASELINE_INPUTS_PER_SEC: f64 = 3_331_001.0;
-
-/// Measure the allocation-free hot path along three axes, per system
-/// size `n` in {4, 8, 16, 32}:
-///
-/// * **inputs/sec** — the E13 methodology (replay a recorded
-///   mesh-chatter trace into fresh engines), but dispatched through
-///   [`ProtocolEngine::handle_into`] with one reused
-///   [`dg_core::EffectSink`] instead of per-call `handle` vectors. The
-///   speedup column compares each row against a **per-n baseline**
-///   measured in the same run: the identical trace replayed through the
-///   allocating [`ProtocolEngine::handle`] dispatch (E13's unit). The
-///   historical `n = 4` E13 figure stays in the JSON header for
-///   continuity, but per-row speedups no longer compare an `n = 32`
-///   replay against an `n = 4` baseline — that read as a regression
-///   that was really just a bigger system.
-/// * **clock bytes/message, full vs delta** — the piggybacked FTVC
-///   under the v1 full encoding vs the v2 delta framing, sampled on a
-///   stable sender→receiver pair (the receiver's floor is the last
-///   clock it saw from that sender, so only the sender's own entry
-///   changes between messages — the steady-traffic case the delta
-///   format exists for; a ring token is its worst case, since every
-///   entry advances per lap).
-/// * **allocs/input** — heap allocations per steady-state ring-relay
-///   delivery, measured by a counting global allocator when the caller
-///   provides one (`experiments hotpath` built with
-///   `--features bench-alloc`); the minimum over fixed-size batches, so
-///   amortized container growth does not mask a true per-delivery
-///   allocation. Zero is expected while `n` fits the inline clock
-///   representation (n ≤ 8); above that every wire clock clone must
-///   heap-allocate. Without the feature the column reads `n/a`/`null`.
-///
-/// Returns the table and a JSON record for `BENCH_hotpath.json`.
-pub fn hotpath(quick: bool, alloc_counter: Option<fn() -> u64>) -> (TextTable, String) {
-    use std::time::Instant;
-
-    use dg_apps::Relay;
-    use dg_core::engine::{Effect, Engine, Input, ProtocolEngine};
-    use dg_core::{EffectSink, Wire};
-
-    type Sink = EffectSink<Wire<u64>, u64>;
-
-    // Deliver the circulating ring token once; return the follow-on hop.
-    fn hop(
-        engines: &mut [Engine<Relay>],
-        sink: &mut Sink,
-        (to, from, wire): (ProcessId, ProcessId, Wire<u64>),
-        now: u64,
-    ) -> (ProcessId, ProcessId, Wire<u64>) {
-        engines[to.index()].handle_into(Input::Deliver { from, wire, now }, sink);
-        let mut next = None;
-        for eff in sink.drain() {
-            if let Effect::Send { to: nt, wire, .. } = eff {
-                next = Some((nt, to, wire));
-            }
-        }
-        next.expect("relay always forwards")
-    }
-
-    let repeats = if quick { 4u32 } else { 16 };
-    let chat = MeshChatter::new(4, 400, 97);
-    let trace_config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
-
-    let mut t = TextTable::new(vec![
-        "n",
-        "inputs/sec",
-        "baseline(n)",
-        "speedup",
-        "clock B/msg full",
-        "clock B/msg delta",
-        "allocs/input",
-    ]);
-    let mut rows_json = Vec::new();
-
-    for &n in &[4usize, 8, 16, 32] {
-        // --- Throughput: E13's trace replay, through `handle_into`,
-        //     against a same-run per-n `handle()` baseline. ----------
-        let traces = record_mesh_trace(n, &chat, trace_config);
-        let trace_inputs: u64 = traces.iter().map(|tr| tr.len() as u64).sum();
-        let mut sink: EffectSink<Wire<dg_apps::ChatMsg>, dg_apps::ChatMsg> = EffectSink::new();
-        // Each repeat is timed on its own and the fastest wins: the
-        // shared-box noise this suppresses is far larger than the
-        // per-dispatch deltas the experiment exists to resolve.
-        let mut elapsed = std::time::Duration::MAX;
-        for _ in 0..repeats {
-            let mut fresh: Vec<Engine<MeshChatter>> = (0..n)
-                .map(|p| Engine::new(ProcessId(p as u16), n, chat.clone(), trace_config))
-                .collect();
-            let t0 = Instant::now();
-            for (i, trace) in traces.iter().enumerate() {
-                for input in trace {
-                    fresh[i].handle_into(input.clone(), &mut sink);
-                    std::hint::black_box(sink.as_slice());
-                    sink.clear();
-                }
-            }
-            elapsed = elapsed.min(t0.elapsed());
-        }
-        let inputs = trace_inputs;
-        let rate = inputs as f64 / elapsed.as_secs_f64();
-
-        let mut base_elapsed = std::time::Duration::MAX;
-        for _ in 0..repeats {
-            let mut fresh: Vec<Engine<MeshChatter>> = (0..n)
-                .map(|p| Engine::new(ProcessId(p as u16), n, chat.clone(), trace_config))
-                .collect();
-            let t0 = Instant::now();
-            for (i, trace) in traces.iter().enumerate() {
-                for input in trace {
-                    std::hint::black_box(fresh[i].handle(input.clone()));
-                }
-            }
-            base_elapsed = base_elapsed.min(t0.elapsed());
-        }
-        let base_rate = inputs as f64 / base_elapsed.as_secs_f64();
-        let speedup = rate / base_rate;
-
-        // --- Ring-relay engines for the wire and allocation probes. --
-        let config = DgConfig::fast_test();
-        let mut engines: Vec<Engine<Relay>> = (0..n)
-            .map(|p| Engine::new(ProcessId(p as u16), n, Relay::new(u64::MAX), config))
-            .collect();
-        let mut sink: Sink = EffectSink::new();
-        let mut token = None;
-        for (p, engine) in engines.iter_mut().enumerate() {
-            engine.handle_into(Input::Start { now: 0 }, &mut sink);
-            for eff in sink.drain() {
-                if let Effect::Send { to, wire, .. } = eff {
-                    token = Some((to, ProcessId(p as u16), wire));
-                }
-            }
-        }
-        let mut token = token.expect("P0 seeds the token");
-        let mut now = 1u64;
-        for _ in 0..2_000 {
-            token = hop(&mut engines, &mut sink, token, now);
-            now += 1;
-        }
-
-        // --- Wire bytes: a stable P0 → P1 pair, full vs delta. -------
-        let (mut full_bytes, mut delta_bytes) = (0u64, 0u64);
-        let mut floor: Option<Ftvc> = None;
-        let samples = 2_000u64;
-        for i in 0..samples {
-            engines[0].handle_into(
-                Input::AppSend {
-                    to: ProcessId(1),
-                    payload: i,
-                    now,
-                },
-                &mut sink,
-            );
-            let mut sent = None;
-            for eff in sink.drain() {
-                if let Effect::Send { to, wire, .. } = eff {
-                    sent = Some((to, wire));
-                }
-            }
-            let (to, wire) = sent.expect("AppSend emits one send");
-            if let Wire::App(env) = &wire {
-                full_bytes += clockwire::ftvc_wire_len(&env.clock) as u64;
-                delta_bytes += match &floor {
-                    Some(f) => clockwire::ftvc_delta_wire_len(&env.clock, f) as u64,
-                    None => clockwire::ftvc_wire_len(&env.clock) as u64,
-                };
-                floor = Some(env.clock.clone());
-            }
-            engines[to.index()].handle_into(
-                Input::Deliver {
-                    from: ProcessId(0),
-                    wire,
-                    now,
-                },
-                &mut sink,
-            );
-            sink.clear(); // P1's follow-on send is dropped, not routed
-            now += 1;
-        }
-        let full_per_msg = full_bytes as f64 / samples as f64;
-        let delta_per_msg = delta_bytes as f64 / samples as f64;
-
-        // --- Allocations per ring delivery (min over batches). -------
-        let allocs_per_input = alloc_counter.map(|count| {
-            const BATCHES: u64 = 64;
-            const PER_BATCH: u64 = 256;
-            let mut min_allocs = u64::MAX;
-            for _ in 0..BATCHES {
-                let before = count();
-                for _ in 0..PER_BATCH {
-                    token = hop(&mut engines, &mut sink, token, now);
-                    now += 1;
-                }
-                min_allocs = min_allocs.min(count() - before);
-            }
-            min_allocs as f64 / PER_BATCH as f64
-        });
-
-        t.row(vec![
-            n.to_string(),
-            format!("{rate:.0}"),
-            format!("{base_rate:.0}"),
-            format!("{speedup:.2}"),
-            format!("{full_per_msg:.1}"),
-            format!("{delta_per_msg:.1}"),
-            allocs_per_input.map_or("n/a".to_string(), |a| format!("{a:.3}")),
-        ]);
-        rows_json.push(format!(
-            "    {{ \"n\": {n}, \"inputs\": {inputs}, \"elapsed_us\": {}, \
-             \"inputs_per_sec\": {rate:.0}, \"baseline_inputs_per_sec\": {base_rate:.0}, \
-             \"speedup_vs_e13\": {speedup:.3}, \
-             \"clock_bytes_full\": {full_per_msg:.2}, \"clock_bytes_delta\": {delta_per_msg:.2}, \
-             \"allocs_per_input\": {} }}",
-            elapsed.as_micros(),
-            allocs_per_input.map_or("null".to_string(), |a| format!("{a:.4}")),
-        ));
-    }
-
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"E14_hotpath\",\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \
-         \"baseline_inputs_per_sec\": {E13_BASELINE_INPUTS_PER_SEC:.0},\n  \
-         \"target_speedup\": 1.5,\n  \"alloc_counter\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        alloc_counter.is_some(),
-        rows_json.join(",\n"),
-    );
-    (t, json)
+/// Steady-state figures from a ring of `Relay` engines, warmed until
+/// every clock/log structure has stopped growing.
+struct RelayProbe {
+    /// Piggybacked clock bytes per message under the v1 full encoding.
+    clock_bytes_full: f64,
+    /// The same messages under the v3 dirty-index delta encoding.
+    clock_bytes_delta: f64,
+    /// Heap allocations per ring delivery; `None` without a counter.
+    allocs_per_input: Option<f64>,
 }
 
-// ---------------------------------------------------------------------
-// E15 — scaling with n (per-n baselines, live drivers, allocations)
-// ---------------------------------------------------------------------
-
-/// The aggregate `n = 32` replay figure published in PR 4's
-/// `BENCH_hotpath.json`. Kept for continuity, but not directly
-/// comparable to rows produced since: that number was measured on
-/// traces from the old single-global-FIFO recorder (see
-/// [`record_mesh_trace`]), whose large-`n` traces starved every timer
-/// and measured allocator churn on unbounded logs instead of
-/// steady-state protocol work.
-pub const PR4_N32_INPUTS_PER_SEC: f64 = 365_800.0;
-
-/// The aggregate `n = 64` replay figure in the `BENCH_scaling.json`
-/// this PR started from. Cross-box caveat: rebuilding that exact
-/// parent commit on the current regeneration box reproduces only
-/// ~168k inputs/s for the same row, so the published 414k reflects a
-/// faster host, not faster code. `speedup_vs_seed_at_n64` therefore
-/// mixes hardware with code; the honest like-for-like number is the
-/// same-box ratio in the note.
-pub const SEED_N64_INPUTS_PER_SEC: f64 = 414_103.0;
-
-/// Steady-state heap allocations per ring-relay delivery — the E14
-/// probe as a standalone helper: warm a ring of `Relay` engines until
-/// every clock/log structure has reached steady state, then take the
-/// minimum allocation count over fixed-size batches so amortized
-/// container growth cannot mask a true per-delivery allocation.
-fn relay_allocs_per_input(n: usize, alloc_counter: Option<fn() -> u64>) -> Option<f64> {
+/// Run the [`RelayProbe`] measurements at system size `n`.
+///
+/// Clock bytes are sampled on a stable P0 → P1 pair: the receiver's
+/// floor is the last clock it saw from that sender, so only the sender's
+/// own entry changes between messages — the steady-traffic case the
+/// delta format exists for (a ring token is its worst case, since every
+/// entry advances per lap). Allocations are the minimum over fixed-size
+/// batches of ring deliveries, so amortized container growth cannot mask
+/// a true per-delivery allocation.
+fn relay_probe(n: usize, alloc_counter: Option<fn() -> u64>) -> RelayProbe {
     use dg_apps::Relay;
     use dg_core::engine::{Effect, Engine, Input, ProtocolEngine};
     use dg_core::{EffectSink, Wire};
 
-    let count = alloc_counter?;
     type Sink = EffectSink<Wire<u64>, u64>;
+    // Deliver the circulating ring token once; return the follow-on hop.
     fn hop(
         engines: &mut [Engine<Relay>],
         sink: &mut Sink,
@@ -1391,18 +1158,67 @@ fn relay_allocs_per_input(n: usize, alloc_counter: Option<fn() -> u64>) -> Optio
         now += 1;
     }
 
-    const BATCHES: u64 = 64;
-    const PER_BATCH: u64 = 256;
-    let mut min_allocs = u64::MAX;
-    for _ in 0..BATCHES {
-        let before = count();
-        for _ in 0..PER_BATCH {
-            token = hop(&mut engines, &mut sink, token, now);
-            now += 1;
+    // --- Wire bytes: a stable P0 → P1 pair, full vs delta. -----------
+    let (mut full_bytes, mut delta_bytes) = (0u64, 0u64);
+    let mut floor: Option<Ftvc> = None;
+    let samples = 2_000u64;
+    for i in 0..samples {
+        engines[0].handle_into(
+            Input::AppSend {
+                to: ProcessId(1),
+                payload: i,
+                now,
+            },
+            &mut sink,
+        );
+        let mut sent = None;
+        for eff in sink.drain() {
+            if let Effect::Send { to, wire, .. } = eff {
+                sent = Some((to, wire));
+            }
         }
-        min_allocs = min_allocs.min(count() - before);
+        let (to, wire) = sent.expect("AppSend emits one send");
+        if let Wire::App(env) = &wire {
+            full_bytes += clockwire::ftvc_wire_len(&env.clock) as u64;
+            delta_bytes += match &floor {
+                Some(f) => clockwire::ftvc_dirty_wire_len(&env.clock, f) as u64,
+                None => clockwire::ftvc_wire_len(&env.clock) as u64,
+            };
+            floor = Some(env.clock.clone());
+        }
+        engines[to.index()].handle_into(
+            Input::Deliver {
+                from: ProcessId(0),
+                wire,
+                now,
+            },
+            &mut sink,
+        );
+        sink.clear(); // P1's follow-on send is dropped, not routed
+        now += 1;
     }
-    Some(min_allocs as f64 / PER_BATCH as f64)
+
+    // --- Allocations per ring delivery (min over batches). -----------
+    let allocs_per_input = alloc_counter.map(|count| {
+        const BATCHES: u64 = 64;
+        const PER_BATCH: u64 = 256;
+        let mut min_allocs = u64::MAX;
+        for _ in 0..BATCHES {
+            let before = count();
+            for _ in 0..PER_BATCH {
+                token = hop(&mut engines, &mut sink, token, now);
+                now += 1;
+            }
+            min_allocs = min_allocs.min(count() - before);
+        }
+        min_allocs as f64 / PER_BATCH as f64
+    });
+
+    RelayProbe {
+        clock_bytes_full: full_bytes as f64 / samples as f64,
+        clock_bytes_delta: delta_bytes as f64 / samples as f64,
+        allocs_per_input,
+    }
 }
 
 /// In quick (CI) mode, the per-input replay cost may grow by at most
@@ -1414,105 +1230,65 @@ fn relay_allocs_per_input(n: usize, alloc_counter: Option<fn() -> u64>) -> Optio
 /// guard in CI. The pin carries headroom for shared-runner noise.
 pub const E15_MAX_N128_COST_GROWTH: f64 = 1.8;
 
-/// E15 — how the engine and its runtimes scale with system size, per
-/// `n` in {4, 8, 16, 32, 64, 128, 256}:
+/// E15 — how the engine scales with system size, per `n` in
+/// {4, 8, 16, 32, 64, 128, 256}:
 ///
-/// * **replay** — the E13/E14 mesh-chatter trace replayed through
-///   [`ProtocolEngine::handle_into`], against a same-run per-n
-///   baseline through the allocating `handle` dispatch. Per-n
-///   baselines isolate dispatch overhead from system size (an `n = 64`
-///   system does more protocol work per input than an `n = 4` one; a
-///   single small-n baseline would book that as a slowdown).
+/// * **replay** — the E13 mesh-chatter trace replayed into fresh engines
+///   through [`dg_core::ProtocolEngine::handle_into`] with one reused
+///   [`dg_core::EffectSink`]; best of several repeats.
 /// * **token msgs/failure** — wire-honest token-channel messages
 ///   (initial dissemination, tree forwards, retransmissions, acks)
 ///   summed across processes over the recorded crash/restart, divided
 ///   by failures. With tree dissemination this is O(n) per failure;
 ///   the old broadcast-plus-ack pattern made it Θ(n²) under loss.
-/// * **live drivers** — the same workload with one crash/restart run
-///   end-to-end as `DgProcess` actors under the deterministic sharded
-///   driver ([`dg_simnet::parallel`]), once with a single worker
-///   (sequential) and once with one worker per core. The unit is
-///   aggregate engine inputs/s; the schedule is worker-count
-///   invariant, so both runs dispatch identical input sets. The JSON
-///   records `cores`: on a single-core host the parallel driver can
-///   only show its coordination overhead, not its sharding headroom.
-///   Driver rows stop at `n = 64`: past that the live mesh run costs
-///   minutes of wall clock without exercising anything the replay and
-///   token columns don't already pin, so the JSON carries `null`s.
-/// * **allocs/input** — the E14 ring-relay probe (min over batches);
-///   the pooled spill path must keep this at 0.0 for every measured
-///   `n`, including the spilled representations at `n > 8`.
+/// * **clock bytes/message, full vs delta** and **allocs/input** — the
+///   `relay_probe` figures. The pooled spill path must keep
+///   allocations at 0.0 for every measured `n`, including the spilled
+///   representations at `n > 8` (measured by a counting global allocator
+///   when the binary is built with `--features bench-alloc`; otherwise
+///   the column reads `n/a`/`null`).
 ///
 /// In quick mode the per-input cost-growth guard asserts that the
 /// `n = 128` replay rate is within [`E15_MAX_N128_COST_GROWTH`] of the
 /// `n = 64` rate, failing CI if an O(n) remainder creeps back into the
-/// steady state.
+/// steady state. Simulator throughput is the `sim-mesh-n32` workload of
+/// `benchmark/`, not a column here.
 ///
 /// Returns the table and a JSON record for `BENCH_scaling.json`.
 pub fn scaling(quick: bool, alloc_counter: Option<fn() -> u64>) -> (TextTable, String) {
     use std::time::Instant;
 
     use dg_core::engine::{Engine, ProtocolEngine};
-    use dg_core::{DgProcess, EffectSink, EngineView, Wire};
-    use dg_simnet::parallel::{run_parallel, ParallelConfig, ParallelCrash};
+    use dg_core::{EffectSink, EngineView, Wire};
 
     let repeats = if quick { 2u32 } else { 8 };
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let chat = MeshChatter::new(4, 400, 97);
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
-
-    // One live mesh-chatter run (crash at t=2ms, restart 2.5ms later)
-    // under the sharded driver; aggregate engine inputs + wall seconds.
-    let live = |n: usize, workers: usize| -> (u64, f64) {
-        let actors: Vec<DgProcess<MeshChatter>> = (0..n)
-            .map(|p| DgProcess::new(ProcessId(p as u16), n, chat.clone(), config))
-            .collect();
-        let parallel = ParallelConfig {
-            workers,
-            step: 30,
-            seed: 11,
-            crashes: vec![ParallelCrash {
-                process: ProcessId(1),
-                at: 2_000,
-                downtime: 2_500,
-            }],
-            ..ParallelConfig::default()
-        };
-        let t0 = Instant::now();
-        let (out, stats) = run_parallel(actors, &parallel);
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(stats.quiescent, "E15 live run failed to drain (n = {n})");
-        (out.iter().map(|a| a.stats().inputs).sum(), secs)
-    };
+    let config = DgConfig::serving();
 
     let mut t = TextTable::new(vec![
         "n",
         "replay/sec",
-        "baseline(n)",
-        "speedup",
         "token msgs/failure",
-        "seq driver/sec",
-        "par driver/sec",
+        "clock B/msg full",
+        "clock B/msg delta",
         "allocs/input",
     ]);
     let mut rows_json = Vec::new();
-    let mut n32_replay = f64::NAN;
     let mut n64_replay = f64::NAN;
     let mut n128_replay = f64::NAN;
 
     for &n in &[4usize, 8, 16, 32, 64, 128, 256] {
-        // --- Replay: handle_into vs same-run handle baseline. --------
+        // --- Replay. Each repeat is timed on its own and the fastest
+        //     wins: the shared-box noise this suppresses is far larger
+        //     than the per-dispatch deltas under measurement. The last
+        //     repeat's engines also yield the token-traffic counters:
+        //     the recorded run crashes and restarts exactly one
+        //     process, so `restarts` sums to the failure count. -------
         let traces = record_mesh_trace(n, &chat, config);
         let trace_inputs: u64 = traces.iter().map(|tr| tr.len() as u64).sum();
         let mut sink: EffectSink<Wire<dg_apps::ChatMsg>, dg_apps::ChatMsg> = EffectSink::new();
-        // Best-of-repeats, as in E14: single-run timings on a shared
-        // box carry more noise than the effects under measurement.
         let mut elapsed = std::time::Duration::MAX;
+        let (mut token_wire_msgs, mut failures) = (0u64, 0u64);
         for _ in 0..repeats {
             let mut fresh: Vec<Engine<MeshChatter>> = (0..n)
                 .map(|p| Engine::new(ProcessId(p as u16), n, chat.clone(), config))
@@ -1526,107 +1302,41 @@ pub fn scaling(quick: bool, alloc_counter: Option<fn() -> u64>) -> (TextTable, S
                 }
             }
             elapsed = elapsed.min(t0.elapsed());
+            token_wire_msgs = fresh.iter().map(|e| e.stats().token_wire_msgs).sum();
+            failures = fresh.iter().map(|e| e.stats().restarts).sum();
         }
         let rate = trace_inputs as f64 / elapsed.as_secs_f64();
-
-        let mut base_elapsed = std::time::Duration::MAX;
-        for _ in 0..repeats {
-            let mut fresh: Vec<Engine<MeshChatter>> = (0..n)
-                .map(|p| Engine::new(ProcessId(p as u16), n, chat.clone(), config))
-                .collect();
-            let t0 = Instant::now();
-            for (i, trace) in traces.iter().enumerate() {
-                for input in trace {
-                    std::hint::black_box(fresh[i].handle(input.clone()));
-                }
-            }
-            base_elapsed = base_elapsed.min(t0.elapsed());
-        }
-        let base_rate = trace_inputs as f64 / base_elapsed.as_secs_f64();
-        let speedup = rate / base_rate;
-        if n == 32 {
-            n32_replay = rate;
-        } else if n == 64 {
+        if n == 64 {
             n64_replay = rate;
         } else if n == 128 {
             n128_replay = rate;
         }
-
-        // --- Token traffic per failure: replay the trace once more
-        //     (untimed) and read the engines' wire-honest counters.
-        //     The recorded run crashes and restarts exactly one
-        //     process, so `restarts` sums to the failure count. -------
-        let (token_wire_msgs, failures) = {
-            let mut fresh: Vec<Engine<MeshChatter>> = (0..n)
-                .map(|p| Engine::new(ProcessId(p as u16), n, chat.clone(), config))
-                .collect();
-            for (i, trace) in traces.iter().enumerate() {
-                for input in trace {
-                    fresh[i].handle_into(input.clone(), &mut sink);
-                    sink.clear();
-                }
-            }
-            let msgs: u64 = fresh.iter().map(|e| e.stats().token_wire_msgs).sum();
-            let fails: u64 = fresh.iter().map(|e| e.stats().restarts).sum();
-            (msgs, fails)
-        };
         let token_msgs_per_failure = token_wire_msgs as f64 / failures.max(1) as f64;
 
-        // --- Live drivers: sequential vs one worker per core, each
-        //     best of two runs (the first run pays cold pools and page
-        //     faults that have nothing to do with the driver). Skipped
-        //     past n = 64 — minutes of wall clock for no new signal. --
-        let driver = (n <= 64).then(|| {
-            let (seq_inputs, seq_secs) = {
-                let (i1, s1) = live(n, 1);
-                let (i2, s2) = live(n, 1);
-                assert_eq!(i1, i2, "driver runs must be deterministic (n = {n})");
-                (i1, s1.min(s2))
-            };
-            let (par_inputs, par_secs) = {
-                let (i1, s1) = live(n, cores);
-                let (i2, s2) = live(n, cores);
-                assert_eq!(i1, i2, "driver runs must be deterministic (n = {n})");
-                (i1, s1.min(s2))
-            };
-            assert_eq!(
-                seq_inputs, par_inputs,
-                "sharded driver schedule must be worker-count invariant (n = {n})"
-            );
-            (
-                seq_inputs,
-                seq_inputs as f64 / seq_secs,
-                par_inputs as f64 / par_secs,
-            )
-        });
-
-        // --- Allocations per steady-state delivery. ------------------
-        let allocs_per_input = relay_allocs_per_input(n, alloc_counter);
+        let probe = relay_probe(n, alloc_counter);
 
         t.row(vec![
             n.to_string(),
             format!("{rate:.0}"),
-            format!("{base_rate:.0}"),
-            format!("{speedup:.2}"),
             format!("{token_msgs_per_failure:.0}"),
-            driver.map_or("n/a".to_string(), |(_, s, _)| format!("{s:.0}")),
-            driver.map_or("n/a".to_string(), |(_, _, p)| format!("{p:.0}")),
-            allocs_per_input.map_or("n/a".to_string(), |a| format!("{a:.3}")),
+            format!("{:.1}", probe.clock_bytes_full),
+            format!("{:.1}", probe.clock_bytes_delta),
+            probe
+                .allocs_per_input
+                .map_or("n/a".to_string(), |a| format!("{a:.3}")),
         ]);
         rows_json.push(format!(
             "    {{ \"n\": {n}, \"trace_inputs\": {trace_inputs}, \
-             \"inputs_per_sec\": {rate:.0}, \"baseline_inputs_per_sec\": {base_rate:.0}, \
-             \"replay_speedup\": {speedup:.3}, \
+             \"inputs_per_sec\": {rate:.0}, \
              \"token_wire_msgs\": {token_wire_msgs}, \"failures\": {failures}, \
              \"token_msgs_per_failure\": {token_msgs_per_failure:.1}, \
-             \"seq_driver_inputs\": {}, \"seq_driver_inputs_per_sec\": {}, \
-             \"par_driver_inputs_per_sec\": {}, \
-             \"driver_speedup\": {}, \"allocs_per_input\": {} }}",
-            driver.map_or("null".to_string(), |(i, _, _)| i.to_string()),
-            driver.map_or("null".to_string(), |(_, s, _)| format!("{s:.0}")),
-            driver.map_or("null".to_string(), |(_, _, p)| format!("{p:.0}")),
-            driver.map_or("null".to_string(), |(_, s, p)| format!("{:.3}", p / s)),
-            allocs_per_input.map_or("null".to_string(), |a| format!("{a:.4}")),
+             \"clock_bytes_full\": {:.2}, \"clock_bytes_delta\": {:.2}, \
+             \"allocs_per_input\": {} }}",
+            probe.clock_bytes_full,
+            probe.clock_bytes_delta,
+            probe
+                .allocs_per_input
+                .map_or("null".to_string(), |a| format!("{a:.4}")),
         ));
     }
 
@@ -1643,26 +1353,9 @@ pub fn scaling(quick: bool, alloc_counter: Option<fn() -> u64>) -> (TextTable, S
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"E15_scaling\",\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \
-         \"alloc_counter\": {},\n  \
-         \"pr4_n32_inputs_per_sec\": {PR4_N32_INPUTS_PER_SEC:.0},\n  \
-         \"speedup_vs_pr4_at_n32\": {:.3},\n  \"target_speedup_at_n32\": 4.0,\n  \
-         \"seed_n64_inputs_per_sec\": {SEED_N64_INPUTS_PER_SEC:.0},\n  \
-         \"speedup_vs_seed_at_n64\": {:.3},\n  \
-         \"note\": \"PR 4's n=32 figure came from the old trace recorder, whose timer-starvation \
-         bug made large-n traces measure allocator churn on unbounded logs; the recorder was \
-         fixed alongside this experiment, so speedup_vs_pr4_at_n32 compares methodology as well \
-         as code. Cross-box caveat for the n=64 target: the parent commit rebuilt on this \
-         regeneration box replays only ~168k inputs/s for the same row (the published 414k came \
-         from a faster host), so speedup_vs_seed_at_n64 understates the code's effect; the \
-         same-box like-for-like ratio against the parent commit is ~2.2x. Driver rows: the \
-         schedule is worker-count invariant, so seq and par dispatch \
-         identical inputs; with cores=1 the par row shows coordination overhead only, and the \
-         sharding headroom on an m-core host is bounded by m times the seq row.\",\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
+        "{}  \"alloc_counter\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        bench_header("E15_scaling", quick),
         alloc_counter.is_some(),
-        n32_replay / PR4_N32_INPUTS_PER_SEC,
-        n64_replay / SEED_N64_INPUTS_PER_SEC,
         rows_json.join(",\n"),
     );
     (t, json)
@@ -1693,12 +1386,7 @@ pub fn service(quick: bool) -> (TextTable, String, u64) {
     let crash_at = run_for / 4;
     let downtime = Duration::from_millis(400);
 
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving();
 
     let svc = ServiceCluster::launch(n, config, None).expect("launch service");
     let fronts = svc.fronts();
@@ -1830,7 +1518,7 @@ pub fn service(quick: bool) -> (TextTable, String, u64) {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"E16_service\",\n  \"quick\": {quick},\n  \"n\": {n},\n  \
+        "{}  \"n\": {n},\n  \
          \"clients\": {clients},\n  \"crash_at_ms\": {},\n  \"downtime_ms\": {},\n  \
          \"ops_acked\": {},\n  \"ops_deadlined\": {deadlined},\n  \"restarts\": {restarts},\n  \
          \"violations\": {violations},\n  \
@@ -1838,6 +1526,7 @@ pub fn service(quick: bool) -> (TextTable, String, u64) {
          released only after output commit, so the contract (no acked write lost, no \
          rolled-back write observed, exactly-once apply) holds through the outage and the \
          dip shows up as latency, not as corruption\",\n  \"phases\": [\n{}\n  ]\n}}\n",
+        bench_header("E16_service", quick),
         crash_at.as_millis(),
         downtime.as_millis(),
         ops.len(),
@@ -1868,10 +1557,9 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
     use std::time::Instant;
 
     use dg_core::engine::{Engine, Input, ProtocolEngine};
-    use dg_core::{DgProcess, EngineView, ProcessStats};
-    use dg_simnet::parallel::{run_parallel, ParallelConfig, ParallelCrash};
+    use dg_core::{DgProcess, EffectSink, ProcessStats};
+    use dg_harness::DgRunOutcome;
 
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let sizes: &[usize] = if quick {
         &[4, 8, 16]
     } else {
@@ -1881,79 +1569,44 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
     // when the dedup set is mostly stable between frames, which is the
     // production regime (checkpoints every few seconds, not once per
     // process lifetime).
-    let base = DgConfig::fast_test()
+    let base = DgConfig::serving()
         .checkpoint_every(500)
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
         .with_delta_checkpoints(true);
 
-    // One metered run; `ttl` scales the sustained-load duration. Three
-    // staggered crash+restart cycles keep recovery machinery (and the
-    // send log) exercised throughout. Returns the per-process stats,
-    // the surviving processes (for the recovery-time probe below), and
-    // any oracle violations.
-    let run_one = |n: usize,
-                   config: DgConfig,
-                   ttl: u32,
-                   violations: &mut u64|
-     -> (Vec<ProcessStats>, Vec<DgProcess<MeshChatter>>) {
-        let chat = MeshChatter::new(4, ttl, 97);
-        let actors: Vec<DgProcess<MeshChatter>> = (0..n)
-            .map(|p| DgProcess::new(ProcessId(p as u16), n, chat.clone(), config))
-            .collect();
-        let parallel = ParallelConfig {
-            workers: cores,
-            step: 30,
-            seed: 11,
-            crashes: vec![
-                ParallelCrash {
-                    process: ProcessId(1),
-                    at: 2_000,
-                    downtime: 2_500,
-                },
-                ParallelCrash {
-                    process: ProcessId(2 % n as u16),
-                    at: 5_000,
-                    downtime: 2_000,
-                },
-                ParallelCrash {
-                    process: ProcessId(3 % n as u16),
-                    at: 9_000,
-                    downtime: 1_500,
-                },
-            ],
-            ..ParallelConfig::default()
+    // One metered run on the seeded simulator; `ttl` scales the
+    // sustained-load duration. Three staggered crash+restart cycles keep
+    // recovery machinery (and the send log) exercised throughout.
+    // Returns the finished run and counts any oracle violations.
+    let run_one =
+        |n: usize, config: DgConfig, ttl: u32, violations: &mut u64| -> DgRunOutcome<MeshChatter> {
+            let chat = MeshChatter::new(4, ttl, 97);
+            let plan = FaultPlan::single_crash(ProcessId(1), 2_000)
+                .with_crash(ProcessId(2 % n as u16), 5_000)
+                .with_crash(ProcessId(3 % n as u16), 9_000);
+            let out = run_dg(n, |_| chat.clone(), config, NetConfig::with_seed(11), &plan);
+            if let Err(list) = oracle::check(&out) {
+                for v in &list {
+                    eprintln!("E17 violation (n = {n}): {v:?}");
+                }
+                *violations += list.len() as u64;
+            }
+            out
         };
-        let (out, stats) = run_parallel(actors, &parallel);
-        if !stats.quiescent {
-            eprintln!("E17 violation: run failed to drain (n = {n})");
-            *violations += 1;
-        }
-        let views: Vec<&dyn EngineView> = out.iter().map(|a| a as &dyn EngineView).collect();
-        let mut list = Vec::new();
-        oracle::check_views(&views, &mut list);
-        for v in &list {
-            eprintln!("E17 violation: {v:?}");
-        }
-        *violations += list.len() as u64;
-        let per_process = out.iter().map(|a| a.stats().clone()).collect();
-        (per_process, out)
-    };
 
     // Wall-clock restart on a clone of a post-run process: restore the
     // newest usable checkpoint (through its delta chain in the delta
     // arm) and replay the stable log suffix. Best of three probes.
     let recovery_us = |procs: &[DgProcess<MeshChatter>]| -> f64 {
         let mut best = f64::INFINITY;
+        let mut sink = EffectSink::new();
         for _ in 0..3 {
             let mut e: Engine<MeshChatter> = procs[0].clone().into_engine();
-            e.handle(Input::Crash);
+            e.handle_into(Input::Crash, &mut sink);
             let t0 = Instant::now();
-            std::hint::black_box(e.handle(Input::Restart { now: 1 << 40 }));
+            e.handle_into(Input::Restart { now: 1 << 40 }, &mut sink);
             best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+            std::hint::black_box(sink.as_slice());
+            sink.clear();
         }
         best
     };
@@ -1967,7 +1620,9 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
         pruned: u64,
         recovery: f64,
     }
-    let summarize = |per: &[ProcessStats], procs: &[DgProcess<MeshChatter>]| -> ArmResult {
+    let summarize = |out: &DgRunOutcome<MeshChatter>| -> ArmResult {
+        let procs = out.sim.actors();
+        let per: Vec<&ProcessStats> = procs.iter().map(DgProcess::stats).collect();
         let ckpts: u64 = per.iter().map(|s| s.checkpoints_taken).sum();
         let bytes: u64 = per
             .iter()
@@ -2009,14 +1664,11 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
     let mut plateau_at_max_n = f64::NAN;
 
     for &n in sizes {
-        let (full_stats, full_procs) = run_one(n, base.full_every(1), 800, &mut violations);
-        let full = summarize(&full_stats, &full_procs);
-        let (delta_stats, delta_procs) = run_one(n, base, 800, &mut violations);
-        let delta = summarize(&delta_stats, &delta_procs);
+        let full = summarize(&run_one(n, base.full_every(1), 800, &mut violations));
+        let delta = summarize(&run_one(n, base, 800, &mut violations));
         // Half the sustained load, same crash schedule: if pruning
         // works, the high-water mark barely moves when the run doubles.
-        let (half_stats, half_procs) = run_one(n, base, 400, &mut violations);
-        let half = summarize(&half_stats, &half_procs);
+        let half = summarize(&run_one(n, base, 400, &mut violations));
 
         let reduction = full.bytes_per_ckpt / delta.bytes_per_ckpt;
         let plateau = delta.hwm as f64 / half.hwm.max(1) as f64;
@@ -2065,8 +1717,7 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"E17_storage\",\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \
-         \"violations\": {violations},\n  \
+        "{}  \"violations\": {violations},\n  \
          \"reduction_at_max_n\": {reduction_at_max_n:.3},\n  \"target_reduction\": 3.0,\n  \
          \"hwm_growth_at_max_n\": {plateau_at_max_n:.3},\n  \
          \"note\": \"both arms write metered checkpoint frames; the full arm rebases every \
@@ -2076,6 +1727,7 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
          pruning caps the log independently of history length. recovery probes re-crash a \
          finished process and time the restore+replay path.\",\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        bench_header("E17_storage", quick),
         rows_json.join(",\n"),
     );
     (t, json, violations)
@@ -2113,12 +1765,7 @@ pub fn load(quick: bool) -> (TextTable, String, u64) {
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
 
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving();
 
     /// Blast-radius summary pulled from the engines after shutdown.
     struct Blast {
@@ -2406,8 +2053,7 @@ pub fn load(quick: bool) -> (TextTable, String, u64) {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"E18_load\",\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \
-         \"max_speedup_vs_baseline\": {max_speedup:.1},\n  \"speedup_target\": 50.0,\n  \
+        "{}  \"max_speedup_vs_baseline\": {max_speedup:.1},\n  \"speedup_target\": 50.0,\n  \
          \"violations\": {violations},\n  \
          \"note\": \"open-loop heavy-tailed load (LogNormal interarrivals and burst sizes) \
          against the batched front door, vs a same-run closed-loop baseline whose goodput \
@@ -2415,6 +2061,7 @@ pub fn load(quick: bool) -> (TextTable, String, u64) {
          service oracle; the crash arm kills a replica mid-flood and reports the rollback \
          blast radius per injected failure. latencies are output-commit latencies: first \
          send to committed acknowledgement.\",\n  \"clusters\": [\n{}\n  ]\n}}\n",
+        bench_header("E18_load", quick),
         clusters_json.join(",\n"),
     );
     (t, json, violations)

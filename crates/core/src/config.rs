@@ -23,43 +23,33 @@ pub struct DgConfig {
     pub gossip_interval: Option<u64>,
     /// Reclaim checkpoints, log prefixes and history records that the
     /// gossiped global stability frontier proves unnecessary (paper,
-    /// Remark 2 / Wang et al.). Requires `gossip_interval`.
+    /// Remark 2 / Wang et al.). Requires `gossip_interval`
+    /// ([`crate::Engine::new`] panics otherwise).
     pub garbage_collect: bool,
     /// Reclaim history-table records of dead (token-covered) versions
     /// once the gossiped frontiers show their originator has moved on —
     /// the paper's Section 6.9 channel-flush condition, approximated by
     /// the frontier gossip. Bounds `History::total_records()` in long
     /// runs with recurring failures (the netrun soak configuration).
-    /// Requires `gossip_interval`.
+    /// Requires `gossip_interval` ([`crate::Engine::new`] panics
+    /// otherwise).
     pub history_gc: bool,
     /// Reliable token delivery: acknowledge every received token and
     /// retransmit unacknowledged tokens with exponential backoff. The
     /// paper assumes a reliable control plane; this sublayer *implements*
     /// that assumption over lossy channels, so it is off in the base
     /// configuration and required whenever the network drops control
-    /// messages.
+    /// messages. With it on and more than five processes, tokens travel
+    /// an arity-4 tree rooted at the originator instead of a broadcast;
+    /// the sublayer's direct retransmissions cover lost tree edges.
     pub reliable_tokens: bool,
     /// Initial retransmission timeout for unacknowledged tokens
-    /// (microseconds). Doubles on every retry.
+    /// (microseconds). Doubles on every retry; each delay is shortened
+    /// by a deterministic jitter of up to 25 % so processes that armed
+    /// their timers in lockstep decorrelate. Retries never give up.
     pub token_retry_timeout: u64,
     /// Upper bound on the exponential backoff (microseconds).
     pub token_backoff_cap: u64,
-    /// Jitter applied to every token retransmission delay, as the
-    /// percentage of the nominal backoff that may be shaved off
-    /// (`0..=100`). The actual delay is drawn deterministically from
-    /// `[backoff * (100 - pct) / 100, backoff]` by hashing the retrying
-    /// process, the token identity and the attempt number — decorrelating
-    /// the retry schedules of processes that armed their timers in
-    /// lockstep (e.g. when a partition heals), without giving the engine
-    /// an RNG. `0` restores the exact unjittered schedule.
-    pub token_retry_jitter_pct: u8,
-    /// Give up retransmitting a pending token after this many retry
-    /// rounds (the original broadcast not counted), dropping the
-    /// acknowledgement obligation and counting
-    /// `ProcessStats::token_retries_exhausted`. `None` retries forever —
-    /// the default, since quiescence-based suites rely on pending tokens
-    /// draining to zero only via acknowledgement.
-    pub token_retry_limit: Option<u32>,
     /// Write periodic checkpoints as *delta frames* against the previous
     /// checkpoint (dirty clock entries, changed sections) instead of full
     /// images, rebasing on a full frame every
@@ -73,27 +63,6 @@ pub struct DgConfig {
     /// means one full then seven deltas). Bounds the chain a recovery
     /// must replay and the blast radius of a corrupt base frame.
     pub full_checkpoint_every: u32,
-    /// Price (and, on byte-moving runtimes, encode) piggybacked send
-    /// stamps as v3 dirty-index deltas against the per-receiver floor —
-    /// O(Δ) components per message instead of O(n). Pure metadata
-    /// compression: the receiver reconstructs the identical full clock,
-    /// so protocol behaviour is unchanged. On by default.
-    pub delta_stamps: bool,
-    /// Disseminate recovery tokens and stability gossip along
-    /// deterministic k-ary spanning trees instead of all-to-all
-    /// broadcast, cutting per-failure control traffic from O(n²) to
-    /// O(n) messages. Tokens use a tree rooted at the originator and
-    /// fall back to the reliable-delivery sublayer's direct
-    /// retransmissions when a tree edge is lost (so the tree is only
-    /// used when [`DgConfig::reliable_tokens`] is on and `n - 1`
-    /// exceeds the fanout — otherwise broadcast is already optimal).
-    /// Frontier gossip travels as aggregated [`crate::Wire::FrontierVec`]
-    /// vectors along a static tree plus one rotating fallback peer per
-    /// tick (eventual delivery even if the tree is partitioned). On by
-    /// default.
-    pub tree_dissemination: bool,
-    /// Fanout `k` of the dissemination trees (children per node).
-    pub tree_fanout: u16,
     /// Group output-commit stability sweeps: a frontier advance only
     /// marks the pending-output buffer dirty, and the O(pending · n)
     /// stability scan runs once per flush/gossip tick instead of once
@@ -120,13 +89,8 @@ impl DgConfig {
             reliable_tokens: false,
             token_retry_timeout: 2_000,
             token_backoff_cap: 64_000,
-            token_retry_jitter_pct: 25,
-            token_retry_limit: None,
             delta_checkpoints: false,
             full_checkpoint_every: 8,
-            delta_stamps: true,
-            tree_dissemination: true,
-            tree_fanout: 4,
             grouped_commit: false,
         }
     }
@@ -140,6 +104,19 @@ impl DgConfig {
             flush_interval: 2_000,
             ..DgConfig::base()
         }
+    }
+
+    /// The profile every serving runtime in the repo runs (netrun,
+    /// `dg-service`, the benchmark): [`DgConfig::fast_test`] plus
+    /// retransmission, 8 ms stability gossip, both garbage collectors
+    /// and reliable tokens.
+    pub fn serving() -> DgConfig {
+        DgConfig::fast_test()
+            .with_retransmit(true)
+            .with_gossip(8_000)
+            .with_gc(true)
+            .with_history_gc(true)
+            .with_reliable_tokens(true)
     }
 
     /// Builder-style checkpoint interval.
@@ -177,16 +154,14 @@ impl DgConfig {
         self
     }
 
-    /// Builder-style garbage-collection toggle (implies gossip must be
-    /// enabled to have any effect).
+    /// Builder-style garbage-collection toggle (requires gossip).
     #[must_use]
     pub fn with_gc(mut self, on: bool) -> DgConfig {
         self.garbage_collect = on;
         self
     }
 
-    /// Builder-style history-GC toggle (implies gossip must be enabled
-    /// to have any effect).
+    /// Builder-style history-GC toggle (requires gossip).
     #[must_use]
     pub fn with_history_gc(mut self, on: bool) -> DgConfig {
         self.history_gc = on;
@@ -215,19 +190,6 @@ impl DgConfig {
         self
     }
 
-    /// Builder-style retransmission jitter (percentage of the nominal
-    /// backoff that may be shaved off each retry delay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pct > 100`.
-    #[must_use]
-    pub fn token_jitter(mut self, pct: u8) -> DgConfig {
-        assert!(pct <= 100, "jitter percentage above 100");
-        self.token_retry_jitter_pct = pct;
-        self
-    }
-
     /// Builder-style delta-checkpoint toggle.
     #[must_use]
     pub fn with_delta_checkpoints(mut self, on: bool) -> DgConfig {
@@ -247,51 +209,11 @@ impl DgConfig {
         self
     }
 
-    /// Builder-style delta-send-stamp toggle.
-    #[must_use]
-    pub fn with_delta_stamps(mut self, on: bool) -> DgConfig {
-        self.delta_stamps = on;
-        self
-    }
-
-    /// Builder-style tree-dissemination toggle.
-    #[must_use]
-    pub fn with_tree_dissemination(mut self, on: bool) -> DgConfig {
-        self.tree_dissemination = on;
-        self
-    }
-
-    /// Builder-style dissemination-tree fanout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    #[must_use]
-    pub fn with_tree_fanout(mut self, k: u16) -> DgConfig {
-        assert!(k > 0, "tree fanout must be positive");
-        self.tree_fanout = k;
-        self
-    }
-
     /// Builder-style grouped-commit toggle (defer output-commit
     /// stability sweeps to flush/gossip ticks).
     #[must_use]
     pub fn with_grouped_commit(mut self, on: bool) -> DgConfig {
         self.grouped_commit = on;
-        self
-    }
-
-    /// Builder-style retransmission cap: give up on a pending token
-    /// after `limit` retry rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero (use `None` semantics — the default —
-    /// to retry forever).
-    #[must_use]
-    pub fn token_retry_cap(mut self, limit: u32) -> DgConfig {
-        assert!(limit > 0, "retry limit must be positive");
-        self.token_retry_limit = Some(limit);
         self
     }
 }
@@ -333,6 +255,21 @@ mod tests {
     }
 
     #[test]
+    fn serving_is_the_explicit_chain() {
+        // The same six calls `benchmark/src/service.rs::profile` spells
+        // out, so the named profile cannot drift from what is measured.
+        assert_eq!(
+            DgConfig::serving(),
+            DgConfig::fast_test()
+                .with_retransmit(true)
+                .with_gossip(8_000)
+                .with_gc(true)
+                .with_history_gc(true)
+                .with_reliable_tokens(true)
+        );
+    }
+
+    #[test]
     fn token_retry_builder() {
         let c = DgConfig::base()
             .with_reliable_tokens(true)
@@ -346,26 +283,6 @@ mod tests {
     #[should_panic(expected = "backoff cap below initial timeout")]
     fn token_retry_validates_cap() {
         let _ = DgConfig::base().token_retry(1_000, 10);
-    }
-
-    #[test]
-    fn jitter_and_retry_cap_builders() {
-        let c = DgConfig::base().token_jitter(40).token_retry_cap(7);
-        assert_eq!(c.token_retry_jitter_pct, 40);
-        assert_eq!(c.token_retry_limit, Some(7));
-        assert_eq!(DgConfig::base().token_retry_limit, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter percentage above 100")]
-    fn jitter_validates_pct() {
-        let _ = DgConfig::base().token_jitter(101);
-    }
-
-    #[test]
-    #[should_panic(expected = "retry limit must be positive")]
-    fn retry_cap_rejects_zero() {
-        let _ = DgConfig::base().token_retry_cap(0);
     }
 
     #[test]
@@ -385,26 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn metadata_compression_defaults_on() {
-        let c = DgConfig::base();
-        assert!(c.delta_stamps);
-        assert!(c.tree_dissemination);
-        assert_eq!(c.tree_fanout, 4);
-        let off = c.with_delta_stamps(false).with_tree_dissemination(false);
-        assert!(!off.delta_stamps);
-        assert!(!off.tree_dissemination);
-        assert_eq!(DgConfig::base().with_tree_fanout(2).tree_fanout, 2);
-    }
-
-    #[test]
     fn grouped_commit_defaults_off() {
         assert!(!DgConfig::base().grouped_commit);
         assert!(DgConfig::base().with_grouped_commit(true).grouped_commit);
-    }
-
-    #[test]
-    #[should_panic(expected = "tree fanout must be positive")]
-    fn tree_fanout_rejects_zero() {
-        let _ = DgConfig::base().with_tree_fanout(0);
     }
 }

@@ -17,12 +17,10 @@
 //! with `dg-simnet` cfg'd out entirely (`cargo check -p dg-core
 //! --no-default-features`).
 //!
-//! Three runtimes drive the same engine:
+//! Two runtimes drive the same engine:
 //!
 //! * the deterministic discrete-event simulator (`dg-simnet`), through
-//!   the [`crate::DgProcess`] actor adapter;
-//! * the simulator crate's threaded-channel runtime, through the
-//!   same adapter; and
+//!   the [`crate::DgProcess`] actor adapter; and
 //! * real OS threads over TCP sockets (the `dg-netrun` crate).
 //!
 //! Because the engine is pure, feeding it the same [`Input`] sequence
@@ -68,6 +66,11 @@ const LOG_RECORD_OVERHEAD: u64 = 16;
 /// engine is generic over the payload type; the piggybacked clock, which
 /// it *can* size exactly, dominates real records).
 const LOG_PAYLOAD_BYTES: u64 = 8;
+/// Fanout `k` of the dissemination trees (children per node).
+const TREE_FANOUT: usize = 4;
+/// Jitter applied to every token retransmission delay: the percentage
+/// of the nominal backoff that may be shaved off.
+const TOKEN_RETRY_JITTER_PCT: u128 = 25;
 
 /// An environmental fault done *to* a process's stable storage.
 ///
@@ -247,6 +250,13 @@ impl<W, O> EffectSink<W, O> {
         &self.effects
     }
 
+    /// Move every effect out of `effects` onto the end of the sink,
+    /// leaving `effects` empty with its capacity intact — how an engine
+    /// with an internal effect buffer hands one input's effects over.
+    pub fn append(&mut self, effects: &mut Vec<Effect<W, O>>) {
+        self.effects.append(effects);
+    }
+
     /// Remove and yield every pending effect in order, keeping the
     /// buffer's capacity for the next input.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Effect<W, O>> {
@@ -270,8 +280,8 @@ impl<W, O> Default for EffectSink<W, O> {
     }
 }
 
-/// A transport-agnostic protocol engine: one `handle` call per input,
-/// effects out, nothing else in or out.
+/// A transport-agnostic protocol engine: one `handle_into` call per
+/// input, effects out, nothing else in or out.
 ///
 /// [`Engine`] (Damani–Garg) is the primary implementation; the
 /// `dg-baselines` crate ports Strom–Yemini and Peterson–Kearns onto the
@@ -284,24 +294,24 @@ pub trait ProtocolEngine {
     /// Committed external outputs released via [`Effect::Commit`].
     type Out;
 
-    /// Advance the state machine by one input, returning the effects
-    /// the runtime must execute, in order.
-    fn handle(&mut self, input: Input<Self::Wire, Self::Cmd>)
-        -> Vec<Effect<Self::Wire, Self::Out>>;
-
-    /// Advance the state machine by one input, appending the effects to
-    /// `sink` instead of allocating a fresh vector. Hot-path runtimes
-    /// should prefer this and reuse one sink across inputs.
-    ///
-    /// The default delegates to [`ProtocolEngine::handle`];
-    /// implementations with an internal effect buffer override it to
-    /// move effects without an intermediate vector.
+    /// Advance the state machine by one input, appending the effects
+    /// the runtime must execute, in order, to `sink`. Runtimes reuse one
+    /// sink across inputs.
     fn handle_into(
         &mut self,
         input: Input<Self::Wire, Self::Cmd>,
         sink: &mut EffectSink<Self::Wire, Self::Out>,
-    ) {
-        sink.effects.extend(self.handle(input));
+    );
+
+    /// [`ProtocolEngine::handle_into`] with a fresh sink per call, for
+    /// tests and one-shot callers that want the effects as a vector.
+    fn handle(
+        &mut self,
+        input: Input<Self::Wire, Self::Cmd>,
+    ) -> Vec<Effect<Self::Wire, Self::Out>> {
+        let mut sink = EffectSink::new();
+        self.handle_into(input, &mut sink);
+        sink.into_vec()
     }
 
     /// A fingerprint of the engine state, for determinism checks and
@@ -497,8 +507,7 @@ struct PendingToken {
     next_retry: u64,
     /// Current nominal retransmission timeout; doubles per retry, capped
     /// at [`DgConfig::token_backoff_cap`]. The actual delay is this
-    /// value minus a deterministic jitter
-    /// ([`DgConfig::token_retry_jitter_pct`]).
+    /// value minus a deterministic jitter ([`jittered_backoff`]).
     backoff: u64,
     /// Retry rounds already performed (the original broadcast is round
     /// zero and is not counted).
@@ -506,16 +515,14 @@ struct PendingToken {
 }
 
 /// Deterministic jitter for a token retransmission delay: shave up to
-/// `pct`% off `backoff`, with the shave drawn by hashing the retrying
-/// process, the token identity and the attempt number. Pure function of
-/// its arguments — the engine stays RNG-free, replays stay bit-identical
-/// — yet processes that armed their retries in lockstep (a healed
-/// partition, a mass restart) decorrelate because `me` differs.
-fn jittered_backoff(me: ProcessId, entry: Entry, attempt: u32, backoff: u64, pct: u8) -> u64 {
-    if pct == 0 {
-        return backoff.max(1);
-    }
-    let span = ((u128::from(backoff) * u128::from(pct)) / 100) as u64;
+/// [`TOKEN_RETRY_JITTER_PCT`]% off `backoff`, with the shave drawn by
+/// hashing the retrying process, the token identity and the attempt
+/// number. Pure function of its arguments — the engine stays RNG-free,
+/// replays stay bit-identical — yet processes that armed their retries
+/// in lockstep (a healed partition, a mass restart) decorrelate because
+/// `me` differs.
+fn jittered_backoff(me: ProcessId, entry: Entry, attempt: u32, backoff: u64) -> u64 {
+    let span = ((u128::from(backoff) * TOKEN_RETRY_JITTER_PCT) / 100) as u64;
     if span == 0 {
         return backoff.max(1);
     }
@@ -663,8 +670,8 @@ pub struct Engine<A: Application> {
     /// since the last stability sweep. The sweep itself is deferred to
     /// the next flush/gossip tick.
     commit_dirty: bool,
-    /// Effects accumulated during the current `handle` call; always
-    /// drained before `handle` returns.
+    /// Effects accumulated during the current `handle_into` call; always
+    /// drained before it returns.
     effects: Vec<Effect<Wire<A::Msg>, A::Msg>>,
     /// Scratch buffer for [`Engine::deliver_postponed`]'s retry sweep;
     /// empty between calls, capacity retained.
@@ -681,9 +688,20 @@ impl<A: Application> Engine<A> {
     ///
     /// # Panics
     ///
-    /// Panics if `me.index() >= n`.
+    /// Panics if `me.index() >= n`, or if `config` turns on
+    /// `garbage_collect` or `history_gc` without a `gossip_interval` —
+    /// both reclaim only what gossiped frontiers prove stable, so without
+    /// gossip they would be silently inert.
     pub fn new(me: ProcessId, n: usize, app: A, config: DgConfig) -> Engine<A> {
         assert!(me.index() < n, "process id out of range");
+        assert!(
+            !config.garbage_collect || config.gossip_interval.is_some(),
+            "DgConfig::garbage_collect requires gossip_interval"
+        );
+        assert!(
+            !config.history_gc || config.gossip_interval.is_some(),
+            "DgConfig::history_gc requires gossip_interval"
+        );
         let clock = Ftvc::new(me, n);
         let my_stable_entry = clock.own_entry();
         Engine {
@@ -830,16 +848,15 @@ impl<A: Application> Engine<A> {
     }
 
     /// Price the piggybacked stamp of an outgoing App envelope and
-    /// advance the receiver's send epoch. With
-    /// [`DgConfig::delta_stamps`] on and a valid epoch, the charge is
-    /// the v3 dirty-index frame over the components that moved since the
+    /// advance the receiver's send epoch. With a valid epoch, the charge
+    /// is the v3 dirty-index frame over the components that moved since the
     /// last stamp to this receiver (the journal suffix plus the own
     /// component) — O(Δ) work and O(Δ) wire bytes; otherwise the full
     /// encoding (O(1) work via the clock's cached wire length).
     fn account_send_stamp(&mut self, to: ProcessId, env: &Envelope<A::Msg>) {
         self.stats.messages_sent += 1;
         let epoch = self.send_epochs[to.index()];
-        let bytes = if self.config.delta_stamps && epoch >= self.journal_base {
+        let bytes = if epoch >= self.journal_base {
             let start = (epoch - self.journal_base) as usize;
             for w in &mut self.stamp_mask {
                 *w = 0;
@@ -1007,16 +1024,12 @@ impl<A: Application> Engine<A> {
         debug_assert_eq!(id, env.id(), "delivery id must match the envelope");
         self.received_ids.insert(id);
         self.history.observe_clock(&env.clock);
-        if self.config.delta_stamps {
-            // The merge records the components it moved into the send
-            // journal as a byproduct — the O(Δ) feed of the delta-stamp
-            // pricing, no extra scan.
-            self.clock
-                .observe_recording(&env.clock, &mut self.send_journal);
-            self.compact_journal();
-        } else {
-            self.clock.observe(&env.clock);
-        }
+        // The merge records the components it moved into the send
+        // journal as a byproduct — the O(Δ) feed of the delta-stamp
+        // pricing, no extra scan.
+        self.clock
+            .observe_recording(&env.clock, &mut self.send_journal);
+        self.compact_journal();
         self.finish_delivery(env);
     }
 
@@ -1032,13 +1045,11 @@ impl<A: Application> Engine<A> {
         self.history
             .observe_entries(&env.clock, &self.dirty_scratch);
         self.clock.observe_at(&env.clock, &self.dirty_scratch);
-        if self.config.delta_stamps {
-            // `dirty_scratch` overapproximates the moved components
-            // (incoming ≠ floor, even if the join was a no-op) — a sound
-            // superset for delta-stamp pricing.
-            self.send_journal.extend_from_slice(&self.dirty_scratch);
-            self.compact_journal();
-        }
+        // `dirty_scratch` overapproximates the moved components
+        // (incoming ≠ floor, even if the join was a no-op) — a sound
+        // superset for delta-stamp pricing.
+        self.send_journal.extend_from_slice(&self.dirty_scratch);
+        self.compact_journal();
         self.finish_delivery(env);
     }
 
@@ -1289,13 +1300,7 @@ impl<A: Application> Engine<A> {
             return;
         }
         let backoff = self.config.token_retry_timeout;
-        let delay = jittered_backoff(
-            self.me,
-            token.entry,
-            0,
-            backoff,
-            self.config.token_retry_jitter_pct,
-        );
+        let delay = jittered_backoff(self.me, token.entry, 0, backoff);
         self.pending_tokens.push(PendingToken {
             token,
             unacked,
@@ -1321,26 +1326,17 @@ impl<A: Application> Engine<A> {
 
     /// Retransmit every due token to its unacknowledged peers, doubling
     /// its nominal backoff (capped) and drawing the next delay with
-    /// deterministic jitter, then re-arm for the next deadline. A token
-    /// that has exhausted [`DgConfig::token_retry_limit`] rounds is
-    /// dropped: its remaining peers are presumed unreachable and the
-    /// acknowledgement obligation is abandoned (counted, so suites that
-    /// rely on draining can assert it never fires).
+    /// deterministic jitter, then re-arm for the next deadline. Retries
+    /// never give up: quiescence-based suites rely on pending tokens
+    /// draining to zero only via acknowledgement.
     fn retry_pending_tokens(&mut self, now: u64) {
         let cap = self.config.token_backoff_cap;
-        let jitter = self.config.token_retry_jitter_pct;
-        let limit = self.config.token_retry_limit;
         let me = self.me;
         let mut resend: Vec<(ProcessId, Token)> = Vec::new();
-        let mut exhausted = 0u64;
         let mut max_backoff = 0u64;
-        self.pending_tokens.retain_mut(|p| {
+        for p in &mut self.pending_tokens {
             if p.next_retry > now {
-                return true;
-            }
-            if limit.is_some_and(|l| p.retries >= l) {
-                exhausted += 1;
-                return false;
+                continue;
             }
             for &peer in &p.unacked {
                 resend.push((peer, p.token.clone()));
@@ -1348,10 +1344,8 @@ impl<A: Application> Engine<A> {
             p.retries += 1;
             p.backoff = (p.backoff * 2).min(cap);
             max_backoff = max_backoff.max(p.backoff);
-            p.next_retry = now + jittered_backoff(me, p.token.entry, p.retries, p.backoff, jitter);
-            true
-        });
-        self.stats.token_retries_exhausted += exhausted;
+            p.next_retry = now + jittered_backoff(me, p.token.entry, p.retries, p.backoff);
+        }
         self.stats.max_token_backoff = self.stats.max_token_backoff.max(max_backoff);
         for (peer, token) in resend {
             self.stats.token_retransmits += 1;
@@ -1740,9 +1734,7 @@ impl<A: Application> Engine<A> {
     /// anything (with `n - 1 <= k` the root's children are all peers and
     /// the tree *is* the broadcast).
     fn token_tree_active(&self) -> bool {
-        self.config.tree_dissemination
-            && self.config.reliable_tokens
-            && self.n - 1 > usize::from(self.config.tree_fanout)
+        self.config.reliable_tokens && self.n - 1 > TREE_FANOUT
     }
 
     /// Fill `self.gossip_peers` with this tick's gossip targets: parent
@@ -1757,7 +1749,7 @@ impl<A: Application> Engine<A> {
         if self.n < 2 {
             return;
         }
-        let k = usize::from(self.config.tree_fanout).max(1);
+        let k = TREE_FANOUT;
         let pos = self.me.index();
         if pos > 0 {
             self.gossip_peers.push(ProcessId(((pos - 1) / k) as u16));
@@ -1797,7 +1789,7 @@ impl<A: Application> Engine<A> {
             return;
         }
         self.last_stable_gossip = Some(own);
-        if self.config.tree_dissemination && self.n > 2 {
+        if self.n > 2 {
             // Seed the tree neighbours (plus the rotating peer); peers
             // relay on advance, so the flood reaches everyone in O(n)
             // messages total and terminates by monotonicity.
@@ -1832,7 +1824,7 @@ impl<A: Application> Engine<A> {
         // (minus whoever sent it and the originator). Relaying only on
         // advance makes the flood terminate; the per-peer newest check
         // above dedups crossing copies.
-        if self.config.tree_dissemination && self.n > 2 {
+        if self.n > 2 {
             self.collect_gossip_peers();
             for idx in 0..self.gossip_peers.len() {
                 let peer = self.gossip_peers[idx];
@@ -1944,9 +1936,8 @@ impl<A: Application> Engine<A> {
     // Input dispatch.
     // ----------------------------------------------------------------
 
-    /// Shared dispatch behind [`ProtocolEngine::handle`] and
-    /// [`ProtocolEngine::handle_into`]: advance the state machine,
-    /// leaving the produced effects in `self.effects`.
+    /// Advance the state machine, leaving the produced effects in
+    /// `self.effects`.
     fn dispatch(&mut self, input: Input<Wire<A::Msg>, A::Msg>) {
         self.stats.inputs += 1;
         match input {
@@ -1994,8 +1985,7 @@ impl<A: Application> Engine<A> {
                     && token.from != self.me
                     && !self.history.has_token(token.from, token.entry)
                 {
-                    let k = usize::from(self.config.tree_fanout);
-                    for child in tree_children(self.me, token.from, self.n, k) {
+                    for child in tree_children(self.me, token.from, self.n, TREE_FANOUT) {
                         self.stats.token_forwards += 1;
                         self.stats.token_wire_msgs += 1;
                         self.stats.token_bytes += token.wire_bytes() as u64;
@@ -2049,7 +2039,7 @@ impl<A: Application> Engine<A> {
             TIMER_GOSSIP => {
                 // Stability gossip travels on the control plane; it is not
                 // part of the piecewise-deterministic computation.
-                if self.config.tree_dissemination && self.n > 2 {
+                if self.n > 2 {
                     // Tree gossip: one aggregated frontier vector per
                     // tree edge (plus the rotating fallback peer) —
                     // O(n) messages per round system-wide instead of the
@@ -2203,8 +2193,7 @@ impl<A: Application> Engine<A> {
             // The reliable sublayer below still tracks *every* peer, so
             // a broken tree edge degrades to direct retransmission (the
             // broadcast fallback) rather than a stuck recovery.
-            let k = usize::from(self.config.tree_fanout);
-            for child in tree_children(self.me, self.me, self.n, k) {
+            for child in tree_children(self.me, self.me, self.n, TREE_FANOUT) {
                 self.stats.token_wire_msgs += 1;
                 self.eff_send(child, Wire::Token(token.clone()), true);
             }
@@ -2240,17 +2229,10 @@ impl<A: Application> ProtocolEngine for Engine<A> {
     type Cmd = A::Msg;
     type Out = A::Msg;
 
-    fn handle(&mut self, input: Input<Wire<A::Msg>, A::Msg>) -> Vec<Effect<Wire<A::Msg>, A::Msg>> {
-        debug_assert!(self.effects.is_empty(), "effect buffer leaked");
-        self.dispatch(input);
-        std::mem::take(&mut self.effects)
-    }
-
     /// Allocation-free hot path: effects move from the engine's internal
-    /// buffer into the sink with `Vec::append`, which leaves the internal
-    /// buffer empty *with its capacity intact* — so a steady-state
-    /// deliver/drain cycle never touches the allocator (pinned by
-    /// `tests/alloc_regression.rs`).
+    /// buffer into the sink, which leaves the internal buffer empty *with
+    /// its capacity intact* — so a steady-state deliver/drain cycle never
+    /// touches the allocator (pinned by `tests/alloc_regression.rs`).
     fn handle_into(
         &mut self,
         input: Input<Wire<A::Msg>, A::Msg>,
@@ -2258,7 +2240,7 @@ impl<A: Application> ProtocolEngine for Engine<A> {
     ) {
         debug_assert!(self.effects.is_empty(), "effect buffer leaked");
         self.dispatch(input);
-        sink.effects.append(&mut self.effects);
+        sink.append(&mut self.effects);
     }
 
     fn state_digest(&self) -> u64 {
@@ -2410,6 +2392,19 @@ mod tests {
             })
             .collect();
         assert_eq!(timers, vec![TIMER_CHECKPOINT, TIMER_FLUSH]);
+    }
+
+    #[test]
+    #[should_panic(expected = "DgConfig::garbage_collect requires gossip_interval")]
+    fn gc_without_gossip_is_rejected() {
+        let _ = Engine::new(ProcessId(0), 2, Ping, DgConfig::fast_test().with_gc(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "DgConfig::history_gc requires gossip_interval")]
+    fn history_gc_without_gossip_is_rejected() {
+        let cfg = DgConfig::fast_test().with_history_gc(true);
+        let _ = Engine::new(ProcessId(0), 2, Ping, cfg);
     }
 
     #[test]

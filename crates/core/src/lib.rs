@@ -33,8 +33,8 @@
 //!   state.
 //!
 //! The protocol itself lives in the transport-agnostic [`Engine`] (the
-//! sans-IO pattern: `handle(Input) -> Vec<Effect>`, no IO, no clock, no
-//! RNG — see the [`engine`] module docs). The `simnet` cargo feature
+//! sans-IO pattern: `handle_into(Input, &mut EffectSink)`, no IO, no
+//! clock, no RNG — see the [`engine`] module docs). The `simnet` cargo feature
 //! (default on) additionally provides [`DgProcess`], an actor adapter
 //! hosting the engine under the `dg_simnet` discrete-event simulator;
 //! the `dg-netrun` crate hosts the same engine on real OS threads and

@@ -266,7 +266,8 @@ impl<A: Application> Actor for DgProcess<A> {
         let fault = match kind {
             FaultKind::CorruptLatestCheckpoint => StorageFault::CorruptLatestCheckpoint,
         };
-        let effects = self.engine.handle(Input::Fault(fault));
-        debug_assert!(effects.is_empty(), "storage faults act silently");
+        self.engine.handle_into(Input::Fault(fault), &mut self.sink);
+        debug_assert!(self.sink.is_empty(), "storage faults act silently");
+        self.sink.clear();
     }
 }

@@ -18,10 +18,10 @@ pub struct FailureId {
 /// the baseline protocols, so experiments compare like with like).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcessStats {
-    /// Engine inputs processed (one per `handle`/`handle_into` call:
-    /// deliveries, ticks, crashes, restarts, injected sends). This is
-    /// the unit the throughput experiments normalize to, on every
-    /// runtime (see E13/E14 in `dg-bench`).
+    /// Engine inputs processed (one per `handle_into` call: deliveries,
+    /// ticks, crashes, restarts, injected sends). This is the unit the
+    /// throughput experiments normalize to, on every runtime (see
+    /// E13/E15 in `dg-bench`).
     pub inputs: u64,
     /// Application messages sent (including regenerated sends after
     /// rollback, excluding suppressed replay sends).
@@ -102,8 +102,7 @@ pub struct ProcessStats {
     /// (the original broadcast is counted under `tokens_sent` only).
     pub token_retransmits: u64,
     /// Recovery tokens forwarded to this process's children in the
-    /// originator-rooted dissemination tree
-    /// ([`crate::DgConfig::tree_dissemination`]).
+    /// originator-rooted dissemination tree.
     pub token_forwards: u64,
     /// Wire-honest count of token-channel messages this process put on
     /// the network: the initial dissemination (a broadcast counts `n-1`,
@@ -125,10 +124,6 @@ pub struct ProcessStats {
     pub token_acks_sent: u64,
     /// Duplicate tokens suppressed by the `(process, version)` dedup.
     pub duplicate_tokens_dropped: u64,
-    /// Pending tokens abandoned because they hit
-    /// [`crate::DgConfig::token_retry_limit`] retry rounds without full
-    /// acknowledgement.
-    pub token_retries_exhausted: u64,
     /// Largest retransmission backoff reached (microseconds); bounded by
     /// [`crate::DgConfig::token_backoff_cap`].
     pub max_token_backoff: u64,

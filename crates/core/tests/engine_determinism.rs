@@ -60,12 +60,7 @@ struct Trace {
 /// firings, commands, and crash/restart pairs, recording each engine's
 /// input and effect streams.
 fn record(n: usize, seed: u64, steps: usize, crashes: &[usize]) -> Vec<Trace> {
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(5_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving().with_gossip(5_000);
     let mut engines: Vec<Engine<Relay>> = (0..n)
         .map(|p| Engine::new(ProcessId(p as u16), n, Relay, config))
         .collect();
@@ -252,12 +247,7 @@ fn replay(engine: &mut Engine<Relay>, inputs: &[In]) -> Vec<Eff> {
 }
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(5_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving().with_gossip(5_000)
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Schedule-level tests of the reliable-token sublayer's retransmission
-//! backoff: exponential doubling, the cap, deterministic jitter, and the
-//! retry limit.
+//! backoff: exponential doubling, the cap, and the deterministic 25 %
+//! jitter.
 //!
 //! These drive the sans-IO [`Engine`] directly — no network at all, so
 //! every acknowledgement is "lost" — and read the retry schedule off the
@@ -59,9 +59,9 @@ fn retry_schedule(
     now += 1_000;
     absorb(engine.handle(Input::Restart { now }), &mut pending_timer);
     for _ in 0..rounds {
-        let Some(delay) = pending_timer.take() else {
-            break; // retry limit exhausted: the schedule ends here
-        };
+        let delay = pending_timer
+            .take()
+            .expect("an unacknowledged token keeps its retry timer armed");
         delays.push(delay);
         now += delay;
         absorb(
@@ -74,6 +74,9 @@ fn retry_schedule(
     }
     (delays, engine)
 }
+
+/// The engine's fixed retransmission jitter, in percent.
+const JITTER_PCT: u64 = 25;
 
 /// The nominal (unjittered) schedule: `initial`, then doubling, capped.
 /// Index 0 is the delay before the *first* retry.
@@ -88,28 +91,14 @@ fn nominal(initial: u64, cap: u64, rounds: usize) -> Vec<u64> {
 }
 
 #[test]
-fn zero_jitter_reproduces_exact_doubling() {
-    let config = DgConfig::fast_test()
-        .with_reliable_tokens(true)
-        .token_retry(1_000, 16_000)
-        .token_jitter(0);
-    let (delays, engine) = retry_schedule(ProcessId(1), 3, config, 8);
-    assert_eq!(delays, nominal(1_000, 16_000, 8));
-    assert_eq!(engine.stats().max_token_backoff, 16_000);
-    assert_eq!(engine.stats().token_retries_exhausted, 0);
-}
-
-#[test]
 fn seeded_sweep_keeps_jittered_delays_inside_the_band() {
     let mut rng = StdRng::seed_from_u64(0xba5eba11);
     for trial in 0..50 {
         let initial = rng.gen_range(200u64..5_000);
         let cap = initial * rng.gen_range(2u64..64);
-        let pct = rng.gen_range(1u8..=60);
         let config = DgConfig::fast_test()
             .with_reliable_tokens(true)
-            .token_retry(initial, cap)
-            .token_jitter(pct);
+            .token_retry(initial, cap);
         let me = ProcessId(rng.gen_range(0u16..4));
         let (delays, _) = retry_schedule(me, 4, config, 10);
         assert_eq!(delays.len(), 10, "trial {trial}: schedule ended early");
@@ -118,7 +107,7 @@ fn seeded_sweep_keeps_jittered_delays_inside_the_band() {
             .zip(nominal(initial, cap, 10).iter())
             .enumerate()
         {
-            let floor = nom - nom * u64::from(pct) / 100 - 1; // integer-division slack
+            let floor = nom - nom * JITTER_PCT / 100 - 1; // integer-division slack
             assert!(
                 delay <= nom && delay >= floor.max(1),
                 "trial {trial}, retry {i}: delay {delay} outside [{floor}, {nom}]"
@@ -131,8 +120,7 @@ fn seeded_sweep_keeps_jittered_delays_inside_the_band() {
 fn jitter_decorrelates_processes_but_replays_identically() {
     let config = DgConfig::fast_test()
         .with_reliable_tokens(true)
-        .token_retry(1_000, 64_000)
-        .token_jitter(50);
+        .token_retry(1_000, 64_000);
     let (a, _) = retry_schedule(ProcessId(0), 4, config, 8);
     let (a_again, _) = retry_schedule(ProcessId(0), 4, config, 8);
     let (b, _) = retry_schedule(ProcessId(1), 4, config, 8);
@@ -143,30 +131,12 @@ fn jitter_decorrelates_processes_but_replays_identically() {
 }
 
 #[test]
-fn retry_limit_abandons_the_token_and_stops_the_timer() {
-    let limit = 4u32;
-    let config = DgConfig::fast_test()
-        .with_reliable_tokens(true)
-        .token_retry(1_000, 8_000)
-        .token_jitter(0)
-        .token_retry_cap(limit);
-    let (delays, engine) = retry_schedule(ProcessId(1), 3, config, 20);
-    // `limit` productive retries, plus the firing that notices exhaustion.
-    assert_eq!(delays.len() as u32, limit + 1);
-    assert_eq!(engine.pending_token_count(), 0, "obligation not dropped");
-    assert_eq!(engine.stats().token_retries_exhausted, 1);
-    // Each of the `limit` rounds resent to both unacked peers.
-    assert_eq!(engine.stats().token_retransmits, u64::from(limit) * 2);
-}
-
-#[test]
 fn unlimited_retries_never_exhaust() {
     let config = DgConfig::fast_test()
         .with_reliable_tokens(true)
-        .token_retry(500, 4_000)
-        .token_jitter(25);
+        .token_retry(500, 4_000);
     let (delays, engine) = retry_schedule(ProcessId(2), 3, config, 40);
     assert_eq!(delays.len(), 40);
-    assert_eq!(engine.stats().token_retries_exhausted, 0);
+    assert_eq!(engine.stats().max_token_backoff, 4_000);
     assert_eq!(engine.pending_token_count(), 1, "token still pending");
 }

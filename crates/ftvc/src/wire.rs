@@ -143,128 +143,6 @@ pub fn ftvc_wire_len(clock: &Ftvc) -> usize {
             .sum::<usize>()
 }
 
-/// Encode an FTVC as a delta against a reference clock the receiver
-/// already holds (its *floor* — e.g. the last clock it saw from this
-/// sender, or the gossiped stability frontier).
-///
-/// Wire format (v2 clock framing):
-///
-/// ```text
-///     owner varint
-///     changed-entry bitmap, ceil(n/8) bytes, LSB-first per byte
-///     for each set bit, in index order: version varint, ts varint
-/// ```
-///
-/// `n` is not transmitted — the receiver recovers it from its own copy
-/// of `floor`, which both sides must agree on out of band. Entries equal
-/// to the floor's cost one bitmap bit instead of two varints, so a clock
-/// that mostly matches the floor (the steady-state case: only the
-/// sender's own component and a few recently-heard-from peers move
-/// between consecutive messages) shrinks from `O(n)` varint pairs to
-/// `ceil(n/8) + O(changed)` bytes.
-///
-/// # Panics
-///
-/// Panics if `clock` and `floor` have different lengths.
-pub fn encode_ftvc_delta(clock: &Ftvc, floor: &Ftvc) -> Bytes {
-    let mut buf = BytesMut::with_capacity(ftvc_delta_wire_len(clock, floor));
-    encode_ftvc_delta_into(clock, floor, &mut buf);
-    buf.freeze()
-}
-
-/// [`encode_ftvc_delta`] into a caller-supplied buffer (appended), so
-/// hot paths can reuse one allocation across messages.
-///
-/// # Panics
-///
-/// Panics if `clock` and `floor` have different lengths.
-pub fn encode_ftvc_delta_into(clock: &Ftvc, floor: &Ftvc, buf: &mut BytesMut) {
-    assert_eq!(
-        clock.len(),
-        floor.len(),
-        "cannot delta-encode against a floor of different system size"
-    );
-    let n = clock.len();
-    put_varint(buf, clock.owner().0 as u64);
-    let changed = |i: usize| clock.entries()[i] != floor.entries()[i];
-    for byte_idx in 0..n.div_ceil(8) {
-        let mut byte = 0u8;
-        for bit in 0..8 {
-            let i = byte_idx * 8 + bit;
-            if i < n && changed(i) {
-                byte |= 1 << bit;
-            }
-        }
-        buf.put_u8(byte);
-    }
-    for (i, e) in clock.entries().iter().enumerate() {
-        if changed(i) {
-            put_varint(buf, u64::from(e.version.0));
-            put_varint(buf, e.ts);
-        }
-    }
-}
-
-/// Decode an FTVC produced by [`encode_ftvc_delta`] against the same
-/// `floor` the encoder used. Unchanged components are copied from the
-/// floor.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated or malformed input, including
-/// an owner index out of range for the floor's system size.
-pub fn decode_ftvc_delta(mut bytes: Bytes, floor: &Ftvc) -> Result<Ftvc, DecodeError> {
-    let n = floor.len();
-    let owner = get_varint(&mut bytes)?;
-    if owner >= n as u64 {
-        return Err(DecodeError::OwnerOutOfRange {
-            owner,
-            len: n as u64,
-        });
-    }
-    let mut bitmap = vec![0u8; n.div_ceil(8)];
-    for slot in &mut bitmap {
-        if !bytes.has_remaining() {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        *slot = bytes.get_u8();
-    }
-    let mut parts = Vec::with_capacity(n);
-    for (i, floor_entry) in floor.entries().iter().enumerate() {
-        if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            let version = get_varint(&mut bytes)? as u32;
-            let ts = get_varint(&mut bytes)?;
-            parts.push((version, ts));
-        } else {
-            parts.push((floor_entry.version.0, floor_entry.ts));
-        }
-    }
-    Ok(Ftvc::from_parts(ProcessId(owner as u16), &parts))
-}
-
-/// Encoded size of [`encode_ftvc_delta`] without materializing the
-/// buffer.
-///
-/// # Panics
-///
-/// Panics if `clock` and `floor` have different lengths.
-pub fn ftvc_delta_wire_len(clock: &Ftvc, floor: &Ftvc) -> usize {
-    assert_eq!(
-        clock.len(),
-        floor.len(),
-        "cannot delta-encode against a floor of different system size"
-    );
-    varint_len(clock.owner().0 as u64)
-        + clock.len().div_ceil(8)
-        + clock
-            .entries()
-            .iter()
-            .zip(floor.entries())
-            .filter(|(c, f)| c != f)
-            .map(|(c, _)| varint_len(u64::from(c.version.0)) + varint_len(c.ts))
-            .sum::<usize>()
-}
-
 /// Encode an FTVC as a **v3 dirty-index delta** against a floor clock
 /// the receiver already holds: only the components that differ from the
 /// floor are transmitted, as explicit indices.
@@ -279,11 +157,9 @@ pub fn ftvc_delta_wire_len(clock: &Ftvc, floor: &Ftvc) -> usize {
 ///         itself), version varint, ts varint
 /// ```
 ///
-/// Where v2's bitmap costs `ceil(n/8)` bytes regardless of how little
-/// moved, v3 costs O(Δ) bytes outright — at n = 256 a steady-state
-/// stamp (one or two moved components) is ~6 bytes instead of 33+. The
-/// crossover favours v2 only when a large fraction of components move,
-/// which on the engine's hot path happens once per (re)connection.
+/// The cost is O(Δ) bytes outright — at n = 256 a steady-state stamp
+/// (one or two moved components) is ~6 bytes where the full encoding
+/// is 500+.
 ///
 /// `n` is not transmitted — the receiver recovers it from its own copy
 /// of `floor`, which both sides must agree on out of band.
@@ -542,67 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip_mixed_changes() {
-        let floor = Ftvc::from_parts(ProcessId(0), &[(0, 5), (3, 0), (1, 200), (0, 0)]);
-        let clock = Ftvc::from_parts(ProcessId(2), &[(0, 5), (3, 7), (1, 200), (2, 1)]);
-        let bytes = encode_ftvc_delta(&clock, &floor);
-        assert_eq!(bytes.len(), ftvc_delta_wire_len(&clock, &floor));
-        let back = decode_ftvc_delta(bytes, &floor).unwrap();
-        assert_eq!(back, clock);
-    }
-
-    #[test]
-    fn delta_of_identical_clock_is_owner_plus_bitmap() {
-        let floor = Ftvc::from_parts(ProcessId(0), &[(1, 9); 16]);
-        let clock = Ftvc::from_parts(ProcessId(3), &[(1, 9); 16]);
-        let bytes = encode_ftvc_delta(&clock, &floor);
-        // 1 owner byte + 2 bitmap bytes, no entries.
-        assert_eq!(bytes.len(), 3);
-        assert_eq!(decode_ftvc_delta(bytes, &floor).unwrap(), clock);
-    }
-
-    #[test]
-    fn delta_beats_full_encoding_when_mostly_matching() {
-        let n = 32;
-        let floor_parts: Vec<(u32, u64)> = (0..n).map(|i| (1, 1_000 + i as u64)).collect();
-        let mut clock_parts = floor_parts.clone();
-        clock_parts[7].1 += 1; // only the sender's component moved
-        let floor = Ftvc::from_parts(ProcessId(7), &floor_parts);
-        let clock = Ftvc::from_parts(ProcessId(7), &clock_parts);
-        let full = ftvc_wire_len(&clock);
-        let delta = ftvc_delta_wire_len(&clock, &floor);
-        assert!(
-            delta < full / 4,
-            "delta ({delta}B) should be far below full ({full}B)"
-        );
-    }
-
-    #[test]
-    fn truncated_delta_is_an_error_not_a_panic() {
-        let floor = Ftvc::from_parts(ProcessId(0), &[(0, 0), (0, 0), (0, 0)]);
-        let clock = Ftvc::from_parts(ProcessId(1), &[(0, 300), (2, 5), (0, 900)]);
-        let bytes = encode_ftvc_delta(&clock, &floor);
-        for cut in 0..bytes.len() {
-            let truncated = Bytes::from(bytes.as_slice()[..cut].to_vec());
-            let err = decode_ftvc_delta(truncated, &floor).unwrap_err();
-            assert_eq!(err, DecodeError::UnexpectedEnd, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn delta_owner_out_of_range_rejected() {
-        let floor = Ftvc::from_parts(ProcessId(0), &[(0, 0), (0, 0)]);
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 9); // owner = 9, floor says n = 2
-        buf.put_u8(0); // empty bitmap
-        let err = decode_ftvc_delta(buf.freeze(), &floor).unwrap_err();
-        assert!(matches!(
-            err,
-            DecodeError::OwnerOutOfRange { owner: 9, len: 2 }
-        ));
-    }
-
-    #[test]
     fn dirty_roundtrip_mixed_changes() {
         let floor = Ftvc::from_parts(ProcessId(0), &[(0, 5), (3, 0), (1, 200), (0, 0)]);
         let clock = Ftvc::from_parts(ProcessId(2), &[(0, 5), (3, 7), (1, 200), (2, 1)]);
@@ -617,8 +432,8 @@ mod tests {
 
     #[test]
     fn dirty_len_is_o_delta_not_o_n() {
-        // At n = 256 with one moved component, v3 must undercut both the
-        // full encoding and v2's ceil(n/8)-byte bitmap.
+        // At n = 256 with one moved component, v3 must be a handful of
+        // bytes, far below the full encoding.
         let n = 256;
         let floor_parts: Vec<(u32, u64)> = (0..n).map(|i| (1, 1_000 + i as u64)).collect();
         let mut clock_parts = floor_parts.clone();
@@ -626,9 +441,12 @@ mod tests {
         let floor = Ftvc::from_parts(ProcessId(7), &floor_parts);
         let clock = Ftvc::from_parts(ProcessId(7), &clock_parts);
         let v3 = ftvc_dirty_wire_len(&clock, &floor);
-        let v2 = ftvc_delta_wire_len(&clock, &floor);
+        let full = ftvc_wire_len(&clock);
         assert!(v3 <= 8, "v3 frame should be a handful of bytes, got {v3}");
-        assert!(v3 < v2 / 4, "v3 ({v3}B) should be far below v2 ({v2}B)");
+        assert!(
+            v3 < full / 4,
+            "v3 ({v3}B) should be far below full ({full}B)"
+        );
     }
 
     #[test]
@@ -655,6 +473,15 @@ mod tests {
         put_varint(&mut buf, 0);
         put_varint(&mut buf, 1);
         assert!(decode_ftvc_dirty(&mut buf.freeze(), &floor).is_err());
+
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, 9); // owner = 9, floor says n = 2
+        put_varint(&mut buf, 0);
+        let err = decode_ftvc_dirty(&mut buf.freeze(), &floor).unwrap_err();
+        assert!(matches!(
+            err,
+            DecodeError::OwnerOutOfRange { owner: 9, len: 2 }
+        ));
     }
 
     #[test]

@@ -184,25 +184,25 @@ proptest! {
         }
     }
 
-    /// Delta encoding against any reachable floor agrees with the full
-    /// encoding: same decoded clock, length as predicted, and every
-    /// strict prefix is a decode error (mirroring
+    /// Dirty-index delta encoding against any reachable floor agrees with
+    /// the full encoding: same decoded clock, length as predicted, and
+    /// every strict prefix is a decode error (mirroring
     /// `wirecodec::truncation_is_an_error_not_a_panic`).
     #[test]
     fn delta_wire_roundtrip_against_any_floor(ops in proptest::collection::vec(op_strategy(4), 2..40)) {
         let run = run_schedule(4, &ops);
         for pair in run.stamps.windows(2) {
             let (floor, clock) = (&pair[0], &pair[1]);
-            let bytes = wire::encode_ftvc_delta(clock, floor);
-            prop_assert_eq!(bytes.len(), wire::ftvc_delta_wire_len(clock, floor));
-            let via_delta = wire::decode_ftvc_delta(bytes.clone(), floor).unwrap();
+            let bytes = wire::encode_ftvc_dirty(clock, floor);
+            prop_assert_eq!(bytes.len(), wire::ftvc_dirty_wire_len(clock, floor));
+            let via_delta = wire::decode_ftvc_dirty(&mut bytes.clone(), floor).unwrap();
             let via_full = wire::decode_ftvc(wire::encode_ftvc(clock)).unwrap();
             prop_assert_eq!(&via_delta, clock);
             prop_assert_eq!(&via_delta, &via_full);
             for cut in 0..bytes.len() {
-                let truncated = bytes::Bytes::from(bytes.as_slice()[..cut].to_vec());
+                let mut truncated = bytes::Bytes::from(bytes.as_slice()[..cut].to_vec());
                 prop_assert!(
-                    wire::decode_ftvc_delta(truncated, floor).is_err(),
+                    wire::decode_ftvc_dirty(&mut truncated, floor).is_err(),
                     "prefix of length {} decoded successfully", cut
                 );
             }

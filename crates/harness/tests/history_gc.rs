@@ -57,12 +57,7 @@ impl Application for Ring {
 }
 
 fn run(history_gc: bool) -> DgRunOutcome<Ring> {
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(history_gc)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving().with_history_gc(history_gc);
     // Four crashes spread across the run — two of them repeat victims,
     // so versions climb past v1 and old incarnations pile up.
     let plan = FaultPlan::single_crash(ProcessId(1), 40_000)

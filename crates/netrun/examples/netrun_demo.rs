@@ -64,12 +64,7 @@ impl Application for Ring {
 fn main() {
     let n = 4;
     let hops = 400;
-    let config = DgConfig::base()
-        .with_retransmit(true)
-        .with_gossip(20_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving();
 
     println!("launching {n} processes over TCP (loopback), ring of {hops} hops");
     let cluster = Cluster::launch(n, |_| Ring::new(hops), config).expect("bind loopback sockets");

@@ -491,8 +491,6 @@ where
     /// App frames remaining until the next mandatory full frame on each
     /// channel, bounding how long a desynced channel discards deltas.
     tx_full_in: Vec<u32>,
-    /// Delta framing enabled (mirrors `DgConfig::delta_stamps`).
-    delta_frames: bool,
     /// Where committed outputs go, if anyone is listening.
     commit_tx: Option<mpsc::Sender<CommittedBatch<A::Msg>>>,
     /// Reused effect buffer: every engine input lands its effects here
@@ -519,8 +517,10 @@ where
         Duration::from_micros(us.max(1))
     }
 
-    /// Fire everything that is due: the restart first, then timers.
-    fn pump_due(&mut self) {
+    /// Fire everything that is due: the restart first, then timers —
+    /// until `stop` is set, since a handler slower than the timers it
+    /// re-arms (sends to peers that already shut down) never runs dry.
+    fn pump_due(&mut self, stop: &AtomicBool) {
         let now = now_us(&self.start);
         if self.down {
             if self.restart_at.is_some_and(|at| at <= now) {
@@ -538,7 +538,7 @@ where
             return;
         }
         while let Some(t) = self.timers.peek() {
-            if t.0.at > now_us(&self.start) {
+            if t.0.at > now_us(&self.start) || stop.load(Ordering::Relaxed) {
                 break;
             }
             let t = self.timers.pop().expect("peeked");
@@ -775,33 +775,31 @@ where
     }
 
     /// Encode one unicast wire message into `wire_scratch`. App frames
-    /// go out as v3 delta frames against this channel's floor when delta
-    /// framing is on and the channel has one (with a periodic full frame
-    /// to bound desync); everything else uses the full encoding.
+    /// go out as v3 delta frames against this channel's floor when the
+    /// channel has one (with a periodic full frame to bound desync);
+    /// everything else uses the full encoding.
     fn encode_unicast(&mut self, to: ProcessId, wire: &Wire<A::Msg>) {
         self.wire_scratch.clear();
-        if self.delta_frames {
-            if let Wire::App(env) = wire {
-                let i = to.index();
-                match &mut self.tx_floors[i] {
-                    Some(floor) if self.tx_full_in[i] > 0 => {
-                        encode_app_delta(env, floor, &mut self.wire_scratch);
-                        self.tx_full_in[i] -= 1;
-                        floor.clone_from(&env.clock);
-                    }
-                    slot => {
-                        encode_wire_into(wire, &mut self.wire_scratch);
-                        self.tx_full_in[i] = FULL_FRAME_EVERY;
-                        match slot {
-                            Some(f) => f.clone_from(&env.clock),
-                            None => *slot = Some(env.clock.clone()),
-                        }
-                    }
+        let Wire::App(env) = wire else {
+            encode_wire_into(wire, &mut self.wire_scratch);
+            return;
+        };
+        let i = to.index();
+        match &mut self.tx_floors[i] {
+            Some(floor) if self.tx_full_in[i] > 0 => {
+                encode_app_delta(env, floor, &mut self.wire_scratch);
+                self.tx_full_in[i] -= 1;
+                floor.clone_from(&env.clock);
+            }
+            slot => {
+                encode_wire_into(wire, &mut self.wire_scratch);
+                self.tx_full_in[i] = FULL_FRAME_EVERY;
+                match slot {
+                    Some(f) => f.clone_from(&env.clock),
+                    None => *slot = Some(env.clock.clone()),
                 }
-                return;
             }
         }
-        encode_wire_into(wire, &mut self.wire_scratch);
     }
 
     fn status(&self) -> NodeStatus {
@@ -831,9 +829,16 @@ where
 /// channel tagged with the node index; the loop pumps every node's due
 /// timers before each wait, so co-hosted nodes cannot starve each other
 /// of ticks, only delay them by one handler.
+///
+/// `stop` is the cluster's shutdown flag. [`Event::Stop`] alone is not
+/// enough: it queues behind the backlog, and once a sibling thread has
+/// exited, sends to its nodes fail slowly (connect retries) while ticks
+/// re-arm, so a busy thread might never read that far. The flag is
+/// checked before every iteration; the event only wakes an idle wait.
 fn run_shard<A: Application>(
     mut nodes: Vec<(usize, Node<A>)>,
     rx: &mpsc::Receiver<(usize, Event<A::Msg>)>,
+    stop: &AtomicBool,
 ) -> Vec<(usize, Engine<A>)>
 where
     A::Msg: Payload,
@@ -842,10 +847,10 @@ where
         let now = now_us(&node.start);
         node.step(Input::Start { now });
     }
-    loop {
+    while !stop.load(Ordering::Relaxed) {
         let mut wait = Duration::from_micros(100_000);
         for (_, node) in &mut nodes {
-            node.pump_due();
+            node.pump_due(stop);
             wait = wait.min(node.wait_duration());
         }
         match rx.recv_timeout(wait) {
@@ -868,17 +873,14 @@ where
                     Event::Probe { reply } => {
                         let _ = reply.send(node.status());
                     }
-                    Event::Stop => {
-                        return nodes.into_iter().map(|(i, n)| (i, n.engine)).collect();
-                    }
+                    Event::Stop => {} // wake-up only; the loop condition exits
                 }
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return nodes.into_iter().map(|(i, n)| (i, n.engine)).collect();
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
             Err(mpsc::RecvTimeoutError::Timeout) => {} // pump_due handles it
         }
     }
+    nodes.into_iter().map(|(i, n)| (i, n.engine)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1127,7 +1129,6 @@ where
                     tx_floors: vec![None; n],
                     rx_floors: vec![None; n],
                     tx_full_in: vec![0; n],
-                    delta_frames: config.delta_stamps,
                     commit_tx: opts.commits.clone(),
                     sink: EffectSink::new(),
                     wire_scratch: BytesMut::new(),
@@ -1141,10 +1142,11 @@ where
         }
         let mut threads = Vec::with_capacity(t);
         for (w, (shard, (_, rx))) in shards.into_iter().zip(channels).enumerate() {
+            let stop = Arc::clone(&stop);
             threads.push(
                 thread::Builder::new()
                     .name(format!("dg-nodes-{w}"))
-                    .spawn(move || run_shard(shard, &rx))?,
+                    .spawn(move || run_shard(shard, &rx, &stop))?,
             );
         }
         Ok(Cluster {

@@ -24,12 +24,7 @@ const LIMIT: u64 = 1_200;
 const COOLDOWN: u64 = 600;
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving()
 }
 
 /// Open a fresh connection to `addr`, write `bytes`, and hang up.

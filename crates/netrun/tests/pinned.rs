@@ -20,12 +20,7 @@ const COOLDOWN: u64 = 600;
 
 #[test]
 fn pinned_cluster_survives_a_crash() {
-    let config = DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true);
+    let config = DgConfig::serving();
     let run_config = RunConfig {
         node_threads: Some(2),
         ..RunConfig::default()
@@ -66,4 +61,40 @@ fn pinned_cluster_survives_a_crash() {
             "{p}: committed outputs diverged under thread pinning"
         );
     }
+}
+
+/// `shutdown()` on a cluster that is still busy must return promptly:
+/// the first node thread to stop takes its listeners with it, and the
+/// other thread's sends to them then fail slowly enough (connect
+/// retries) that its re-arming ticks would keep it from ever reading its
+/// own `Stop` event.
+#[test]
+fn shutdown_of_a_busy_pinned_cluster_returns() {
+    const N: usize = 8;
+    let run_config = RunConfig {
+        node_threads: Some(2),
+        ..RunConfig::default()
+    };
+    let cluster = Cluster::launch_with(
+        N,
+        |_| Ring::new(1_000_000, 0),
+        DgConfig::serving(),
+        run_config,
+    )
+    .expect("bind loopback listeners");
+    // 512 extra ring tokens: every node always has sends in flight.
+    for i in 0..512u16 {
+        let via = ProcessId(i % N as u16);
+        cluster.app_send(via, ProcessId((via.0 + 1) % N as u16), 1);
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(cluster.shutdown().len());
+    });
+    let engines = done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown of a busy cluster did not return within 2 s");
+    assert_eq!(engines, N);
 }

@@ -21,12 +21,7 @@ const LIMIT: u64 = 3_000;
 const COOLDOWN: u64 = 800;
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving()
 }
 
 #[test]

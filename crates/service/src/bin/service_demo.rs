@@ -20,12 +20,7 @@ const KILL_AT: Duration = Duration::from_secs(1);
 const DOWNTIME: Duration = Duration::from_millis(500);
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving()
 }
 
 struct ClientOutcome {

@@ -22,12 +22,7 @@ const CLIENTS: u64 = 3;
 const OPS_PER_CLIENT: u64 = 30;
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving()
 }
 
 /// One client's workload: interleaved puts, reads and deletes on its

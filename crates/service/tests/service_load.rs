@@ -16,12 +16,7 @@ use dg_service::loadrun::{run_load, LoadOptions};
 use dg_service::{wire, ClientOptions, ServiceClient, ServiceCluster, ServiceOptions};
 
 fn config() -> DgConfig {
-    DgConfig::fast_test()
-        .with_retransmit(true)
-        .with_gossip(8_000)
-        .with_gc(true)
-        .with_history_gc(true)
-        .with_reliable_tokens(true)
+    DgConfig::serving()
 }
 
 fn merge(into: &mut ServiceJournal, from: ServiceJournal) {

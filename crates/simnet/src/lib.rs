@@ -60,9 +60,7 @@ mod actor;
 mod config;
 mod event;
 pub mod manual;
-pub mod parallel;
 mod sim;
-pub mod threaded;
 mod time;
 mod trace;
 

@@ -1,6 +1,6 @@
 //! Property tests for the delta checkpoint frame codec.
 //!
-//! Mirrors the v2 wire-codec suite: every generated frame must round-trip
+//! Mirrors the clock wire-codec suite: every generated frame must round-trip
 //! through encode/decode bit-exactly, `diff`/`apply` must reconstruct the
 //! target image exactly, and *every* truncation of a valid encoding must
 //! decode to an error — never a panic, never a silently-short value.
