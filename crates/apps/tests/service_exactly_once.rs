@@ -5,8 +5,12 @@
 //! `output_conservation.rs` feed/drain pattern) so the adversarial
 //! windows are *exact*: a crash after the owner applied a write but
 //! before the response committed, retries injected through different
-//! fronts, in-flight messages lost to the crash. The invariants are the
-//! service contract itself:
+//! fronts, in-flight messages lost to the crash. Like the real runtime,
+//! the harness reports an idle edge (`Input::Idle`) to every engine once
+//! a delivery batch has drained, so responses commit through the
+//! stability-query path as well as through the ticks — and a crash may
+//! land on either side of that edge. The invariants are the service
+//! contract itself:
 //!
 //! * a retried request is applied exactly once, crash or no crash;
 //! * every committed response to one request carries the same reply;
@@ -72,11 +76,28 @@ impl Harness {
         }
     }
 
-    fn drain(&mut self) {
+    /// Deliver everything in flight, and whatever that produces.
+    fn deliver_all(&mut self) {
         self.now += 10;
         while let Some((to, from, wire)) = self.net.pop_front() {
             let now = self.now;
             self.feed(to, Input::Deliver { from, wire, now });
+        }
+    }
+
+    /// What a runtime does between two waits: deliver the batch, tell
+    /// every engine it ran dry, and go round again for whatever the
+    /// idle edges sent (stability queries and their answers).
+    fn drain(&mut self) {
+        loop {
+            self.deliver_all();
+            let now = self.now;
+            for p in ProcessId::all(self.n()) {
+                self.feed(p, Input::Idle { now });
+            }
+            if self.net.is_empty() {
+                return;
+            }
         }
     }
 
@@ -125,8 +146,11 @@ impl Harness {
         panic!("outputs failed to commit after 12 stability rounds");
     }
 
-    /// Inject a client request at `front`, addressed to the owner.
-    fn inject(&mut self, front: ProcessId, request: SvcRequest) {
+    /// Inject a client request at `front`, addressed to the owner, and
+    /// deliver it. With `idle_edge` the runtime then gets to report its
+    /// idle edges (so the response normally commits at once); without,
+    /// the caller's next move — a crash, say — lands before them.
+    fn inject(&mut self, front: ProcessId, request: SvcRequest, idle_edge: bool) {
         let owner = ProcessId((request.op.key() as usize % self.n()) as u16);
         let now = self.now;
         self.feed(
@@ -137,7 +161,11 @@ impl Harness {
                 now,
             },
         );
-        self.drain();
+        if idle_edge {
+            self.drain();
+        } else {
+            self.deliver_all();
+        }
     }
 
     /// All committed responses to `(client, req)`, across every engine.
@@ -180,8 +208,9 @@ fn write_retried_across_owner_crash_applies_exactly_once() {
     };
 
     // First attempt via front 0: the owner applies the write and emits
-    // the response, but no gossip has fired — nothing is committed.
-    h.inject(ProcessId(0), put);
+    // the response, but neither an idle edge nor a gossip tick has
+    // come — nothing is committed.
+    h.inject(ProcessId(0), put, false);
     assert!(
         h.committed_replies(1, 1).is_empty(),
         "response must still be pending"
@@ -192,7 +221,7 @@ fn write_retried_across_owner_crash_applies_exactly_once() {
     h.crash_restart(ProcessId(2));
 
     // Client saw nothing: retry the same request id via another front.
-    h.inject(ProcessId(1), put);
+    h.inject(ProcessId(1), put, true);
     h.settle();
 
     // Exactly one apply across the group, every response identical.
@@ -244,7 +273,8 @@ fn seeded_sweep_preserves_the_service_contract() {
                     attempts += 1;
                     assert!(attempts <= 8, "seed {seed}: request never acked");
                     let front = ProcessId(rng.gen_range(0..n as u16));
-                    h.inject(front, request);
+                    // Half the time the crash below beats the idle edge.
+                    h.inject(front, request, rng.gen_bool(0.5));
                     if rng.gen_bool(0.5) {
                         h.crash_restart(ProcessId(rng.gen_range(0..n as u16)));
                     }

@@ -474,6 +474,8 @@ impl<A: Application> ProtocolEngine for PkEngine<A> {
             Input::Crash => self.on_crash(),
             Input::Restart { now } => self.on_restart(now),
             Input::Fault(_) => {} // no storage-fault model in this baseline
+            // Nothing here is deferred to a batch boundary.
+            Input::Idle { .. } => {}
         }
         sink.append(&mut self.effects);
     }

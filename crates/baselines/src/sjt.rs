@@ -169,7 +169,8 @@ impl<A: Application> Actor for SjtProcess<A> {
             Wire::TokenAck(_)
             | Wire::Frontier(..)
             | Wire::FrontierVec(_)
-            | Wire::StableClock(..) => {}
+            | Wire::StableClock(..)
+            | Wire::StabilityQuery(_) => {}
         }
         self.metered(|inner| inner.on_message(from, msg, ctx));
     }

@@ -465,6 +465,8 @@ impl<A: Application> ProtocolEngine for SyEngine<A> {
             Input::Crash => self.on_crash(),
             Input::Restart { .. } => self.on_restart(),
             Input::Fault(_) => {} // no storage-fault model in this baseline
+            // Nothing here is deferred to a batch boundary.
+            Input::Idle { .. } => {}
         }
         sink.append(&mut self.effects);
     }

@@ -10,7 +10,12 @@ pub struct DgConfig {
     pub checkpoint_interval: u64,
     /// Interval between asynchronous log flushes (microseconds). This is
     /// the "optimism knob": a long interval means fast failure-free runs
-    /// but more lost work per failure (experiment E5).
+    /// but more lost work per failure (experiment E5). It is an upper
+    /// bound: under a runtime that reports idle edges
+    /// ([`crate::Input::Idle`], `dg-netrun`) the log is also flushed
+    /// as soon as a pending output or a peer's stability query waits on
+    /// it, so the interval then only bounds how long records nobody
+    /// waits for stay volatile.
     pub flush_interval: u64,
     /// Storage latencies charged to the simulation schedule.
     pub costs: StorageCosts,
@@ -20,6 +25,11 @@ pub struct DgConfig {
     pub retransmit_lost: bool,
     /// Interval for gossiping stability frontiers, enabling output commit
     /// and garbage collection (paper Remarks). `None` disables gossip.
+    /// Under a runtime that reports idle edges a process with a pending
+    /// output asks the peers it depends on directly
+    /// ([`crate::Wire::StabilityQuery`]), so the interval no longer sets
+    /// commit latency — it bounds what a lost query or reply can cost,
+    /// and paces garbage collection.
     pub gossip_interval: Option<u64>,
     /// Reclaim checkpoints, log prefixes and history records that the
     /// gossiped global stability frontier proves unnecessary (paper,
@@ -65,12 +75,14 @@ pub struct DgConfig {
     pub full_checkpoint_every: u32,
     /// Group output-commit stability sweeps: a frontier advance only
     /// marks the pending-output buffer dirty, and the O(pending · n)
-    /// stability scan runs once per flush/gossip tick instead of once
-    /// per received frontier frame. Under broadcast gossip each round
-    /// delivers n−1 advancing frontiers, so grouping cuts the sweep
-    /// cost by that factor at the price of at most one flush interval
-    /// of added commit latency. Off in the base configuration — the
-    /// serving runtime (`dg-service`) turns it on.
+    /// stability scan runs once per idle edge or flush/gossip tick
+    /// instead of once per received frontier frame. Under broadcast
+    /// gossip each round delivers n−1 advancing frontiers, so grouping
+    /// cuts the sweep cost by that factor. The price is paid only where
+    /// no idle edge comes — the simulator, or an event loop that never
+    /// runs dry: there a commit waits for the next flush or gossip tick,
+    /// whichever is first. Off in the base configuration — the serving
+    /// runtime (`dg-service`) turns it on.
     pub grouped_commit: bool,
 }
 
@@ -210,7 +222,7 @@ impl DgConfig {
     }
 
     /// Builder-style grouped-commit toggle (defer output-commit
-    /// stability sweeps to flush/gossip ticks).
+    /// stability sweeps to idle edges and flush/gossip ticks).
     #[must_use]
     pub fn with_grouped_commit(mut self, on: bool) -> DgConfig {
         self.grouped_commit = on;

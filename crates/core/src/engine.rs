@@ -133,6 +133,14 @@ pub enum Input<W, C = ()> {
     },
     /// Environmental storage damage (see [`StorageFault`]).
     Fault(StorageFault),
+    /// The runtime has handed over everything that was queued for this
+    /// process: a batch boundary. It carries nothing from outside, so a
+    /// runtime may issue it after any input, or never (the simulator
+    /// does not) — the timers then do the same work one interval later.
+    Idle {
+        /// Current time in microseconds.
+        now: u64,
+    },
 }
 
 /// One action a protocol engine asks its runtime to perform. `W` is the
@@ -349,7 +357,15 @@ pub trait EngineView {
 #[derive(Debug, Clone)]
 enum LogEvent<M> {
     Message(Envelope<M>),
-    Token(Token),
+    /// A received token. `rolled_back` records that receiving it made
+    /// this process roll back within its current version, which ticks
+    /// the own timestamp (Figure 2, "On Rollback"). Replay repeats the
+    /// tick; without it every later timestamp would come out one lower
+    /// than the one peers depend on and the frontier announced stable.
+    Token {
+        token: Token,
+        rolled_back: bool,
+    },
     AppSend(ProcessId, M),
 }
 
@@ -574,6 +590,11 @@ pub struct Engine<A: Application> {
     frontiers: Vec<Entry>,
     /// Own stable frontier: own clock entry at the last flush/checkpoint.
     my_stable_entry: Entry,
+    /// A rollback has happened since `my_stable_entry` was taken, so it
+    /// may name a timestamp of the discarded timeline that a new state
+    /// now reuses. Stability queries are then not answered on receipt
+    /// but by the next idle-edge flush.
+    stable_entry_outdated: bool,
     /// Gossiped stable-checkpoint clocks: for each peer, the full clock
     /// of its newest *globally stable* checkpoint. Drives send-log
     /// pruning (a logged send covered by the receiver's stable clock can
@@ -583,6 +604,17 @@ pub struct Engine<A: Application> {
     /// Own entry of the last stable-checkpoint clock this process
     /// gossiped; gossip is re-broadcast only when it advances.
     last_stable_gossip: Option<Entry>,
+    /// Stability on demand, asking side: per peer, the highest of its
+    /// entries this process has sent a [`Wire::StabilityQuery`] for and
+    /// not had a frontier frame back from. A further query goes out only
+    /// for a higher entry. Like `query_waiters` a hint table: cleared by
+    /// the gossip tick, a crash and a rollback, so a lost query or reply
+    /// delays a commit by one gossip interval at most.
+    queries_outstanding: Vec<Option<Entry>>,
+    /// Stability on demand, answering side: per peer, the highest own
+    /// entry it asked about that `my_stable_entry` did not cover yet.
+    /// The next [`Input::Idle`] flushes the log and answers.
+    query_waiters: Vec<Option<Entry>>,
     down: bool,
 
     // ---- stable state (survives crashes) ----
@@ -717,8 +749,11 @@ impl<A: Application> Engine<A> {
             send_log: SendLog::new(),
             frontiers: vec![Entry::ZERO; n],
             my_stable_entry,
+            stable_entry_outdated: false,
             stable_clocks: vec![None; n],
             last_stable_gossip: None,
+            queries_outstanding: vec![None; n],
+            query_waiters: vec![None; n],
             down: false,
             checkpoints: CheckpointStore::new(),
             log: EventLog::new(),
@@ -1187,16 +1222,19 @@ impl<A: Application> Engine<A> {
         self.invalidate_recv_floors();
         // Orphan test (Lemma 3) — roll back *before* recording the token,
         // so the rollback's checkpoint search sees the pre-token history.
-        let suffix = if self.history.orphaned_by(token.from, token.entry) {
+        let (suffix, rolled_back) = if self.history.orphaned_by(token.from, token.entry) {
             self.rollback(token.from, token.entry)
         } else {
-            Vec::new()
+            (Vec::new(), false)
         };
         // Tokens are logged synchronously (Section 6.3); appending after
         // the rollback keeps the token past the truncation point so a
         // later restart replays it.
         let token_bytes = LOG_RECORD_OVERHEAD + token.wire_bytes() as u64;
-        self.log.append_stable(LogEvent::Token(token.clone()));
+        self.log.append_stable(LogEvent::Token {
+            token: token.clone(),
+            rolled_back,
+        });
         self.stats.log_bytes_flushed += token_bytes;
         self.effects.push(Effect::LogWrite {
             entries: 1,
@@ -1216,7 +1254,7 @@ impl<A: Application> Engine<A> {
                     self.received_ids.remove(&env.id());
                     self.receive_app(env);
                 }
-                LogEvent::Token(t) => self.receive_token(t),
+                LogEvent::Token { token, .. } => self.receive_token(token),
                 LogEvent::AppSend(to, payload) => {
                     // The original send left before the rollback; replay
                     // the tick only (rollback replay, send log intact).
@@ -1373,18 +1411,20 @@ impl<A: Application> Engine<A> {
 
     /// Roll back to the maximum non-orphan state with respect to failure
     /// `(j, token_entry)`. Returns the discarded log suffix for
-    /// re-injection by the caller.
+    /// re-injection by the caller, and whether the own timestamp was
+    /// ticked (it is unless the rollback crossed a restart boundary).
     ///
     /// Deviation from Figure 4's literal text, documented in DESIGN.md:
     /// the checkpoint condition uses Lemma 3's strict inequality (a
     /// recorded dependency with `ts == token.ts` is the restored state
     /// itself, which is not lost), and the discarded suffix is re-injected
     /// rather than silently dropped.
-    fn rollback(&mut self, j: ProcessId, token_entry: Entry) -> Vec<LogEvent<A::Msg>> {
+    fn rollback(&mut self, j: ProcessId, token_entry: Entry) -> (Vec<LogEvent<A::Msg>>, bool) {
         self.stats.record_rollback(FailureId {
             process: j,
             version: token_entry.version,
         });
+        self.clear_stability_queries();
         let current_version = self.clock.version();
         // "log all the unlogged messages to the stable storage" — nothing
         // is lost in a rollback. The bundled flush's bytes are accounted;
@@ -1437,11 +1477,17 @@ impl<A: Application> Engine<A> {
                     }
                     self.replay_deliver(&env, false);
                 }
-                LogEvent::Token(t) => {
+                LogEvent::Token {
+                    token: t,
+                    rolled_back,
+                } => {
                     debug_assert!(
                         !self.history.orphaned_by(t.from, t.entry),
                         "a logged token cannot orphan the replayed prefix"
                     );
+                    if rolled_back {
+                        self.clock.rolled_back();
+                    }
                     self.history.record_token(t.from, t.entry);
                 }
                 LogEvent::AppSend(to, payload) => {
@@ -1454,7 +1500,7 @@ impl<A: Application> Engine<A> {
         } else {
             Vec::new()
         };
-        if self.clock.version() < current_version {
+        let ticked = if self.clock.version() < current_version {
             // The search crossed a restart boundary: the post-failure
             // restored state was itself an orphan of `j`'s failure (its
             // token arrived only after our restart, so the post-restart
@@ -1486,12 +1532,18 @@ impl<A: Application> Engine<A> {
                 pending_outputs: self.outputs.pending().cloned().collect(),
             });
             self.stats.checkpoints_taken += 1;
+            false
         } else {
             // The post-rollback state ticks its timestamp but keeps its
             // version (Figure 2, "On Rollback").
             self.clock.rolled_back();
-        }
-        suffix
+            true
+        };
+        // Timestamps between here and `my_stable_entry` are about to be
+        // reused by new, unlogged states; until the next flush moves the
+        // frontier onto this timeline it cannot answer for them.
+        self.stable_entry_outdated = true;
+        (suffix, ticked)
     }
 
     // ----------------------------------------------------------------
@@ -1505,7 +1557,7 @@ impl<A: Application> Engine<A> {
         self.log.flush();
         self.stats.log_bytes_flushed += self.pending_flush_bytes;
         self.pending_flush_bytes = 0;
-        self.my_stable_entry = self.clock.own_entry();
+        self.mark_stable_here();
         self.store_checkpoint_frame();
     }
 
@@ -1658,6 +1710,18 @@ impl<A: Application> Engine<A> {
     /// Commit every output whose dependencies the current frontiers
     /// prove stable, then (optionally) garbage-collect.
     fn commit_and_gc(&mut self) {
+        self.commit_sweep();
+        if self.config.garbage_collect {
+            self.collect_garbage();
+        }
+        if self.config.history_gc {
+            self.gc_history();
+        }
+    }
+
+    /// The output-commit sweep alone: release every pending output whose
+    /// dependencies the current frontiers prove stable.
+    fn commit_sweep(&mut self) {
         self.frontiers[self.me.index()] = self.my_stable_entry;
         self.commit_dirty = false;
         debug_assert!(self.commit_scratch.is_empty());
@@ -1674,15 +1738,141 @@ impl<A: Application> Engine<A> {
                 cost_us: self.config.costs.sync_write,
             });
         }
-        if self.config.garbage_collect {
-            self.collect_garbage();
+    }
+
+    /// Group-commit the volatile log suffix and advance the own stable
+    /// frontier to the current state. Returns `true` iff there was
+    /// anything to write.
+    fn flush_log(&mut self) -> bool {
+        let flushed = self.log.flush();
+        if flushed > 0 {
+            let bytes = self.pending_flush_bytes;
+            self.pending_flush_bytes = 0;
+            self.stats.flushes += 1;
+            self.stats.log_bytes_flushed += bytes;
+            // Group commit: the batch's entries share one seek + one
+            // barrier (`flush_batch`) plus the per-entry transfer — not
+            // one forced write per record.
+            self.effects.push(Effect::LogWrite {
+                entries: flushed,
+                cost_us: self.config.costs.flush_batch
+                    + self.config.costs.flush_per_entry * flushed as u64,
+                bytes,
+            });
         }
-        if self.config.history_gc {
-            self.gc_history();
+        self.mark_stable_here();
+        flushed > 0
+    }
+
+    /// The log was just flushed: the current state is the stable frontier.
+    fn mark_stable_here(&mut self) {
+        self.my_stable_entry = self.clock.own_entry();
+        self.stable_entry_outdated = false;
+    }
+
+    // ----------------------------------------------------------------
+    // Stability on demand (Input::Idle, Wire::StabilityQuery).
+    // ----------------------------------------------------------------
+
+    /// The runtime ran dry. If someone is waiting on this process's log
+    /// — its own pending outputs, or a peer that asked — do now what the
+    /// flush and gossip ticks would do later: flush, answer, sweep, and
+    /// ask the peers whose frontiers the surviving outputs still lack.
+    /// With nobody waiting the log stays volatile until the flush tick,
+    /// as the paper's optimistic logging has it.
+    fn on_idle(&mut self) {
+        if self.down {
+            return;
+        }
+        let asked = self.query_waiters.iter().any(Option::is_some);
+        if self.outputs.pending_len() == 0 && !asked {
+            return;
+        }
+        if self.flush_log() {
+            self.stats.idle_flushes += 1;
+        }
+        if asked {
+            for i in 0..self.n {
+                if self.query_waiters[i].is_some_and(|e| e <= self.my_stable_entry) {
+                    self.query_waiters[i] = None;
+                    self.send_frontier_to(ProcessId(i as u16));
+                }
+            }
+        }
+        if self.outputs.pending_len() > 0 {
+            // Commit only: reclamation stays on the ticks.
+            self.commit_sweep();
+            self.query_lacking_frontiers();
         }
     }
 
-    fn receive_frontier(&mut self, p: ProcessId, entry: Entry) {
+    /// For each peer, ask about the highest of its entries a pending
+    /// output depends on and its known frontier does not reach — unless
+    /// a query at least that high is already outstanding. An entry of a
+    /// version below the frontier's is not asked about: only that
+    /// version's token can settle it.
+    fn query_lacking_frontiers(&mut self) {
+        for i in 0..self.n {
+            if i == self.me.index() {
+                continue;
+            }
+            let j = ProcessId(i as u16);
+            let Some(entry) = self.outputs.pending().map(|p| p.clock.entry(j)).max() else {
+                return;
+            };
+            if entry <= self.frontiers[i] || self.queries_outstanding[i] >= Some(entry) {
+                continue;
+            }
+            self.queries_outstanding[i] = Some(entry);
+            self.stats.stability_queries_sent += 1;
+            self.eff_send(j, Wire::StabilityQuery(entry), true);
+        }
+    }
+
+    /// A peer wants to hear when `entry` of ours is stable: answer now
+    /// if it is, otherwise at the next idle edge (which flushes).
+    fn receive_stability_query(&mut self, from: ProcessId, entry: Entry) {
+        if from.index() >= self.n || from == self.me {
+            return;
+        }
+        if entry <= self.my_stable_entry && !self.stable_entry_outdated {
+            self.send_frontier_to(from);
+        } else {
+            let waiting = &mut self.query_waiters[from.index()];
+            *waiting = (*waiting).max(Some(entry));
+        }
+    }
+
+    /// Answer a stability query with the same frame the gossip tick
+    /// sends: the whole frontier vector, so one answer also settles the
+    /// third-party entries the asker would otherwise ask about next.
+    fn send_frontier_to(&mut self, to: ProcessId) {
+        self.stats.stability_replies_sent += 1;
+        let wire = self.frontier_wire();
+        self.eff_send(to, wire, true);
+    }
+
+    /// This process's stability knowledge as one gossip frame.
+    fn frontier_wire(&mut self) -> Wire<A::Msg> {
+        if self.n > 2 {
+            self.frontiers[self.me.index()] = self.my_stable_entry;
+            Wire::FrontierVec(self.frontiers.clone())
+        } else {
+            Wire::Frontier(self.me, self.my_stable_entry)
+        }
+    }
+
+    /// Forget every outstanding and waiting stability query. Called
+    /// where the entries they name may have stopped meaning anything
+    /// (crash, rollback) and on every gossip tick, which bounds what a
+    /// lost query or reply can cost to one gossip interval.
+    fn clear_stability_queries(&mut self) {
+        self.queries_outstanding.fill(None);
+        self.query_waiters.fill(None);
+    }
+
+    fn receive_frontier(&mut self, from: ProcessId, p: ProcessId, entry: Entry) {
+        let solicited = self.take_outstanding_query(from);
         let current = &mut self.frontiers[p.index()];
         if entry <= *current {
             // A stale or duplicate gossip frame carries no new stability
@@ -1690,11 +1880,7 @@ impl<A: Application> Engine<A> {
             return;
         }
         *current = entry;
-        if self.config.grouped_commit {
-            self.commit_dirty = true;
-        } else {
-            self.commit_and_gc();
-        }
+        self.frontier_advanced(solicited);
     }
 
     /// A peer sent its merged frontier vector (tree gossip). Every
@@ -1702,7 +1888,8 @@ impl<A: Application> Engine<A> {
     /// so the componentwise max of what we knew and what arrived is
     /// itself a vector of true facts — aggregation never invents
     /// stability.
-    fn receive_frontier_vec(&mut self, v: &[Entry]) {
+    fn receive_frontier_vec(&mut self, from: ProcessId, v: &[Entry]) {
+        let solicited = self.take_outstanding_query(from);
         if v.len() != self.n {
             return;
         }
@@ -1718,12 +1905,35 @@ impl<A: Application> Engine<A> {
             }
         }
         if advanced {
-            if self.config.grouped_commit {
-                self.commit_dirty = true;
-            } else {
-                self.commit_and_gc();
-            }
+            self.frontier_advanced(solicited);
         }
+    }
+
+    /// A peer's frontier moved: sweep now, or (grouped commit) leave a
+    /// note for the next idle edge or tick. An answer this process asked
+    /// for (`solicited`) only commits, like the idle edge that asked:
+    /// reclamation is not latency and keeps its old triggers, unsolicited
+    /// gossip and the ticks. It also has stragglers to outlive — a
+    /// restarted process asks at once, and history GC on the first answer
+    /// would reclaim its own token record while orphan messages of the
+    /// dead version are still queued behind that answer, to be accepted
+    /// because nothing marks them obsolete any more.
+    fn frontier_advanced(&mut self, solicited: bool) {
+        if self.config.grouped_commit {
+            self.commit_dirty = true;
+        } else if solicited {
+            self.commit_sweep();
+        } else {
+            self.commit_and_gc();
+        }
+    }
+
+    /// `from` sent a frontier frame: if a stability query to it was
+    /// outstanding, this is (taken to be) its answer.
+    fn take_outstanding_query(&mut self, from: ProcessId) -> bool {
+        self.queries_outstanding
+            .get_mut(from.index())
+            .is_some_and(|asked| asked.take().is_some())
     }
 
     /// `true` when recovery tokens travel the originator-rooted tree
@@ -1939,8 +2149,9 @@ impl<A: Application> Engine<A> {
     /// Advance the state machine, leaving the produced effects in
     /// `self.effects`.
     fn dispatch(&mut self, input: Input<Wire<A::Msg>, A::Msg>) {
-        self.stats.inputs += 1;
+        self.stats.inputs += u64::from(!matches!(input, Input::Idle { .. }));
         match input {
+            Input::Idle { .. } => self.on_idle(),
             Input::Start { .. } => self.on_start(),
             Input::Deliver { from, wire, .. } => self.on_deliver(from, wire),
             Input::Tick { kind, now } => self.on_tick(kind, now),
@@ -1995,9 +2206,10 @@ impl<A: Application> Engine<A> {
                 self.receive_token(token);
             }
             Wire::TokenAck(entry) => self.receive_token_ack(from, entry),
-            Wire::Frontier(p, entry) => self.receive_frontier(p, entry),
-            Wire::FrontierVec(v) => self.receive_frontier_vec(&v),
+            Wire::Frontier(p, entry) => self.receive_frontier(from, p, entry),
+            Wire::FrontierVec(v) => self.receive_frontier_vec(from, &v),
             Wire::StableClock(p, clock) => self.receive_stable_clock(from, p, clock),
+            Wire::StabilityQuery(entry) => self.receive_stability_query(from, entry),
         }
     }
 
@@ -2008,23 +2220,7 @@ impl<A: Application> Engine<A> {
                 self.eff_timer(self.config.checkpoint_interval, TIMER_CHECKPOINT, true);
             }
             TIMER_FLUSH => {
-                let flushed = self.log.flush();
-                if flushed > 0 {
-                    let bytes = self.pending_flush_bytes;
-                    self.pending_flush_bytes = 0;
-                    self.stats.flushes += 1;
-                    self.stats.log_bytes_flushed += bytes;
-                    // Group commit: the tick's entries share one seek +
-                    // one barrier (`flush_batch`) plus the per-entry
-                    // transfer — not one forced write per record.
-                    self.effects.push(Effect::LogWrite {
-                        entries: flushed,
-                        cost_us: self.config.costs.flush_batch
-                            + self.config.costs.flush_per_entry * flushed as u64,
-                        bytes,
-                    });
-                }
-                self.my_stable_entry = self.clock.own_entry();
+                self.flush_log();
                 if self.config.retransmit_lost {
                     self.prune_send_log();
                 }
@@ -2044,17 +2240,20 @@ impl<A: Application> Engine<A> {
                     // tree edge (plus the rotating fallback peer) —
                     // O(n) messages per round system-wide instead of the
                     // broadcast's O(n²).
-                    self.frontiers[self.me.index()] = self.my_stable_entry;
                     self.collect_gossip_peers();
                     for idx in 0..self.gossip_peers.len() {
                         let peer = self.gossip_peers[idx];
-                        let v = self.frontiers.clone();
-                        self.eff_send(peer, Wire::FrontierVec(v), true);
+                        let wire = self.frontier_wire();
+                        self.eff_send(peer, wire, true);
                     }
                     self.gossip_ticks += 1;
                 } else {
-                    self.eff_broadcast(Wire::Frontier(self.me, self.my_stable_entry));
+                    let wire = self.frontier_wire();
+                    self.eff_broadcast(wire);
                 }
+                // The round just sent is the repair for any stability
+                // query or reply that got lost; start the next one clean.
+                self.clear_stability_queries();
                 if self.config.retransmit_lost {
                     self.gossip_stable_clock();
                     self.prune_send_log();
@@ -2108,6 +2307,7 @@ impl<A: Application> Engine<A> {
         self.frontiers = vec![Entry::ZERO; self.n];
         self.stable_clocks = vec![None; self.n];
         self.last_stable_gossip = None;
+        self.clear_stability_queries();
         self.last_image = None;
         self.delta_since_full = 0;
         self.pending_flush_bytes = 0;
@@ -2146,11 +2346,17 @@ impl<A: Application> Engine<A> {
         for event in entries {
             match event {
                 LogEvent::Message(env) => self.replay_deliver(&env, true),
-                LogEvent::Token(t) => {
+                LogEvent::Token {
+                    token: t,
+                    rolled_back,
+                } => {
                     debug_assert!(
                         !self.history.orphaned_by(t.from, t.entry),
                         "restart replay cannot be orphaned by its own logged tokens"
                     );
+                    if rolled_back {
+                        self.clock.rolled_back();
+                    }
                     self.history.record_token(t.from, t.entry);
                 }
                 LogEvent::AppSend(to, payload) => {
@@ -2494,6 +2700,468 @@ mod tests {
         });
         let effects = a.handle(Input::Fault(StorageFault::CorruptLatestCheckpoint));
         assert!(effects.is_empty());
+    }
+
+    /// Two `Ping` engines in which `b` has just rolled back: its state
+    /// depended on a send of `a`'s that `a` lost in a crash (the second
+    /// injected send — the first leaves from the checkpointed state).
+    /// With `flush_b_first`, `b` flushed while still an orphan, so its
+    /// stable frontier lies beyond the point it rolls back to.
+    fn pair_with_b_rolled_back(flush_b_first: bool) -> (Engine<Ping>, Engine<Ping>) {
+        let cfg = DgConfig::fast_test().with_gossip(8_000);
+        let mut a = Engine::new(ProcessId(0), 2, Ping, cfg);
+        let mut b = Engine::new(ProcessId(1), 2, Ping, cfg);
+        let opening = first_send(&a.handle(Input::Start { now: 0 })).unwrap().1;
+        b.handle(Input::Start { now: 0 });
+        let mut inject = |payload| {
+            let effects = a.handle(Input::AppSend {
+                to: ProcessId(1),
+                payload,
+                now: 1,
+            });
+            first_send(&effects).unwrap().1
+        };
+        for wire in [opening, inject(8), inject(9)] {
+            b.handle(Input::Deliver {
+                from: ProcessId(0),
+                wire,
+                now: 2,
+            });
+        }
+        if flush_b_first {
+            b.handle(Input::Tick {
+                kind: TIMER_FLUSH,
+                now: 3,
+            });
+        }
+        a.handle(Input::Crash);
+        let token = a
+            .handle(Input::Restart { now: 4 })
+            .into_iter()
+            .find_map(|e| match e {
+                Effect::Broadcast { wire } => Some(wire),
+                _ => None,
+            })
+            .expect("token broadcast");
+        b.handle(Input::Deliver {
+            from: ProcessId(0),
+            wire: token,
+            now: 5,
+        });
+        assert_eq!(b.stats().rollbacks, 1, "b was an orphan of a's failure");
+        (a, b)
+    }
+
+    /// What a process announces as stable it must recover to: a crash
+    /// right after a flush restores exactly the flushed own entry, also
+    /// when a rollback (and its timestamp tick) happened since the last
+    /// checkpoint. Replay used to skip that tick, so the restoration
+    /// point came out one short of the announced frontier and a peer
+    /// that had committed against the frontier was declared an orphan.
+    #[test]
+    fn restart_after_rollback_recovers_the_announced_frontier() {
+        let (_, mut b) = pair_with_b_rolled_back(false);
+        // Flush, announce, crash: the token must name the announced entry.
+        b.handle(Input::Tick {
+            kind: TIMER_FLUSH,
+            now: 6,
+        });
+        let announced = b
+            .handle(Input::Tick {
+                kind: TIMER_GOSSIP,
+                now: 7,
+            })
+            .into_iter()
+            .find_map(|e| match e {
+                Effect::Broadcast {
+                    wire: Wire::Frontier(_, entry),
+                } => Some(entry),
+                _ => None,
+            })
+            .expect("frontier gossip");
+        b.handle(Input::Crash);
+        let restored = b
+            .handle(Input::Restart { now: 8 })
+            .into_iter()
+            .find_map(|e| match e {
+                Effect::Broadcast {
+                    wire: Wire::Token(t),
+                } => Some(t.entry),
+                _ => None,
+            })
+            .expect("token broadcast");
+        assert_eq!(restored, announced);
+    }
+
+    // ---- stability on demand ------------------------------------------
+
+    /// Every delivery becomes an external output; nothing is sent.
+    #[derive(Clone)]
+    struct Sink;
+    impl Application for Sink {
+        type Msg = u64;
+        fn on_start(&mut self, _me: ProcessId, _n: usize) -> Effects<u64> {
+            Effects::none()
+        }
+        fn on_message(&mut self, _: ProcessId, _: ProcessId, msg: &u64, _: usize) -> Effects<u64> {
+            Effects::output(*msg)
+        }
+    }
+
+    const FRONT: ProcessId = ProcessId(0);
+    const OWNER: ProcessId = ProcessId(1);
+
+    /// Three started `Sink` engines with grouped commit, so only ticks
+    /// and idle edges sweep. The front has already sent once: a send is
+    /// stamped with the state it leaves from, and the very first one
+    /// leaves from the initial checkpoint, which is stable by definition.
+    fn sinks() -> Vec<Engine<Sink>> {
+        let cfg = DgConfig::fast_test()
+            .with_gossip(8_000)
+            .with_grouped_commit(true);
+        let mut engines: Vec<Engine<Sink>> = (0..3)
+            .map(|p| {
+                let mut e = Engine::new(ProcessId(p), 3, Sink, cfg);
+                e.handle(Input::Start { now: 0 });
+                e
+            })
+            .collect();
+        engines[FRONT.index()].handle(Input::AppSend {
+            to: ProcessId(2),
+            payload: 0,
+            now: 0,
+        });
+        engines
+    }
+
+    /// Inject `payload` at the front and deliver it to the owner, which
+    /// now holds a pending output depending on the front's unflushed
+    /// entry. Returns that entry.
+    fn request(engines: &mut [Engine<Sink>], payload: u64) -> Entry {
+        let effects = engines[FRONT.index()].handle(Input::AppSend {
+            to: OWNER,
+            payload,
+            now: 1,
+        });
+        let Some((_, Wire::App(env))) = first_send(&effects) else {
+            panic!("the request leaves the front");
+        };
+        let sent_at = env.clock.own_entry();
+        let effects = engines[OWNER.index()].handle(Input::Deliver {
+            from: FRONT,
+            wire: Wire::App(env),
+            now: 2,
+        });
+        assert!(effects.is_empty(), "an output only becomes pending");
+        sent_at
+    }
+
+    fn idle(engine: &mut Engine<Sink>) -> Vec<Effect<Wire<u64>, u64>> {
+        engine.handle(Input::Idle { now: 3 })
+    }
+
+    fn wires_sent(effects: &[Effect<Wire<u64>, u64>]) -> Vec<(ProcessId, Wire<u64>)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send { to, wire, control } => {
+                    assert!(control, "stability traffic is control-plane");
+                    Some((*to, wire.clone()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_without_demand_does_nothing() {
+        let (mut a, mut b) = start_pair();
+        // Some traffic, no outputs, no queries: nobody waits on the log.
+        let wire = first_send(&a.handle(Input::AppSend {
+            to: ProcessId(1),
+            payload: 3,
+            now: 1,
+        }))
+        .unwrap()
+        .1;
+        b.handle(Input::Deliver {
+            from: ProcessId(0),
+            wire,
+            now: 2,
+        });
+        for e in [&mut a, &mut b] {
+            let digest = EngineView::state_digest(e);
+            let stats = e.stats().clone();
+            assert!(e.handle(Input::Idle { now: 3 }).is_empty());
+            assert_eq!(EngineView::state_digest(e), digest);
+            assert_eq!(e.stats(), &stats, "not even counted as an input");
+        }
+    }
+
+    #[test]
+    fn pending_output_commits_after_one_query_round() {
+        let mut e = sinks();
+        let asked = request(&mut e, 7);
+
+        // Owner's idle edge: flush, sweep (nothing stable yet), ask the
+        // front about the entry the output depends on.
+        let effects = idle(&mut e[OWNER.index()]);
+        assert!(matches!(effects[0], Effect::LogWrite { entries: 1, .. }));
+        assert_eq!(
+            wires_sent(&effects),
+            vec![(FRONT, Wire::StabilityQuery(asked))]
+        );
+        assert_eq!(e[OWNER.index()].stats().idle_flushes, 1);
+        assert_eq!(e[OWNER.index()].stats().stability_queries_sent, 1);
+
+        // Uncovered query: the front stays silent until its own idle
+        // edge has flushed the entry.
+        let effects = e[FRONT.index()].handle(Input::Deliver {
+            from: OWNER,
+            wire: Wire::StabilityQuery(asked),
+            now: 4,
+        });
+        assert!(effects.is_empty(), "nothing to say before the flush");
+        let effects = idle(&mut e[FRONT.index()]);
+        assert!(matches!(effects[0], Effect::LogWrite { entries: 2, .. }));
+        let replies = wires_sent(&effects);
+        let [(to, Wire::FrontierVec(v))] = replies.as_slice() else {
+            panic!("expected one frontier vector, got {replies:?}");
+        };
+        assert_eq!(*to, OWNER);
+        assert!(v[FRONT.index()] >= asked);
+        assert_eq!(e[FRONT.index()].stats().stability_replies_sent, 1);
+        assert!(
+            idle(&mut e[FRONT.index()]).is_empty(),
+            "an answered query is forgotten"
+        );
+
+        // The reply only marks the buffer dirty (grouped commit); the
+        // owner's next idle edge releases the output.
+        let reply = replies[0].1.clone();
+        let effects = e[OWNER.index()].handle(Input::Deliver {
+            from: FRONT,
+            wire: reply,
+            now: 5,
+        });
+        assert!(effects.is_empty());
+        let effects = idle(&mut e[OWNER.index()]);
+        assert!(
+            matches!(effects.as_slice(), [Effect::Commit { outputs, .. }] if outputs == &[7]),
+            "{effects:?}"
+        );
+        assert_eq!(e[OWNER.index()].stats().flushes, 1, "nothing new to flush");
+    }
+
+    #[test]
+    fn covered_query_is_answered_on_receipt() {
+        let mut e = sinks();
+        let asked = request(&mut e, 7);
+        e[FRONT.index()].handle(Input::Tick {
+            kind: TIMER_FLUSH,
+            now: 3,
+        });
+        let effects = e[FRONT.index()].handle(Input::Deliver {
+            from: OWNER,
+            wire: Wire::StabilityQuery(asked),
+            now: 4,
+        });
+        let replies = wires_sent(&effects);
+        assert!(
+            matches!(replies.as_slice(), [(OWNER, Wire::FrontierVec(v))] if v[0] >= asked),
+            "{replies:?}"
+        );
+        // A two-process system answers with the scalar frame.
+        let (mut a, _) = start_pair();
+        let covered = a.clock().own_entry();
+        let effects = a.handle(Input::Deliver {
+            from: ProcessId(1),
+            wire: Wire::StabilityQuery(covered),
+            now: 1,
+        });
+        assert_eq!(
+            first_send(&effects),
+            Some((ProcessId(1), Wire::Frontier(ProcessId(0), covered)))
+        );
+        // A sender id outside the system is ignored, not indexed.
+        assert!(a
+            .handle(Input::Deliver {
+                from: ProcessId(9),
+                wire: Wire::StabilityQuery(Entry::new(0, 99)),
+                now: 2,
+            })
+            .is_empty());
+    }
+
+    /// The answer to a query commits and nothing else; reclamation keeps
+    /// its old triggers (unsolicited gossip, the ticks).
+    #[test]
+    fn solicited_answer_commits_without_reclaiming() {
+        let cfg = DgConfig::fast_test().with_gossip(8_000).with_gc(true);
+        let mut e: Vec<Engine<Sink>> = (0..3)
+            .map(|p| {
+                let mut e = Engine::new(ProcessId(p), 3, Sink, cfg);
+                e.handle(Input::Start { now: 0 });
+                e
+            })
+            .collect();
+        request(&mut e, 6);
+        let asked = request(&mut e, 7);
+        for now in [3, 4] {
+            e[OWNER.index()].handle(Input::Tick {
+                kind: TIMER_CHECKPOINT,
+                now,
+            });
+        }
+        assert_eq!(e[OWNER.index()].checkpoint_count(), 3);
+        assert_eq!(
+            wires_sent(&idle(&mut e[OWNER.index()])),
+            vec![(FRONT, Wire::StabilityQuery(asked))]
+        );
+        e[FRONT.index()].handle(Input::Deliver {
+            from: OWNER,
+            wire: Wire::StabilityQuery(asked),
+            now: 5,
+        });
+        let answer = wires_sent(&idle(&mut e[FRONT.index()])).remove(0).1;
+        let effects = e[OWNER.index()].handle(Input::Deliver {
+            from: FRONT,
+            wire: answer.clone(),
+            now: 6,
+        });
+        assert!(
+            matches!(effects.as_slice(), [Effect::Commit { outputs, .. }] if outputs == &[6, 7]),
+            "{effects:?}"
+        );
+        assert_eq!(e[OWNER.index()].checkpoint_count(), 3, "no GC on an answer");
+
+        // The same knowledge arriving unasked (a relay) reclaims as before.
+        let Wire::FrontierVec(mut v) = answer else {
+            panic!("n = 3 answers with the vector");
+        };
+        v[2] = Entry::new(0, 1);
+        e[OWNER.index()].handle(Input::Deliver {
+            from: ProcessId(2),
+            wire: Wire::FrontierVec(v),
+            now: 7,
+        });
+        assert_eq!(e[OWNER.index()].checkpoint_count(), 1);
+    }
+
+    /// After a rollback the old frontier may name timestamps that new,
+    /// unlogged states now reuse: it must not answer a query on receipt.
+    #[test]
+    fn frontier_from_before_a_rollback_answers_nothing() {
+        let (_, mut b) = pair_with_b_rolled_back(true);
+        // b's own entry now lies at or below the frontier it flushed as
+        // an orphan.
+        let now_at = b.clock().own_entry();
+        let query = Input::Deliver {
+            from: ProcessId(0),
+            wire: Wire::StabilityQuery(now_at),
+            now: 6,
+        };
+        assert!(
+            b.handle(query).is_empty(),
+            "the stale frontier stays silent"
+        );
+        let effects = b.handle(Input::Idle { now: 7 });
+        assert_eq!(
+            first_send(&effects),
+            Some((ProcessId(0), Wire::Frontier(ProcessId(1), now_at)))
+        );
+    }
+
+    #[test]
+    fn one_outstanding_query_per_peer() {
+        let mut e = sinks();
+        request(&mut e, 7);
+        let second = request(&mut e, 8);
+        // Two outputs lack the front's frontier: one query, for the
+        // higher entry.
+        let effects = idle(&mut e[OWNER.index()]);
+        assert_eq!(
+            wires_sent(&effects),
+            vec![(FRONT, Wire::StabilityQuery(second))]
+        );
+        // Further idle edges repeat nothing while it is outstanding...
+        assert!(idle(&mut e[OWNER.index()]).is_empty());
+        // ...but a higher entry is asked about.
+        let third = request(&mut e, 9);
+        let effects = idle(&mut e[OWNER.index()]);
+        assert_eq!(
+            wires_sent(&effects),
+            vec![(FRONT, Wire::StabilityQuery(third))]
+        );
+        assert_eq!(e[OWNER.index()].stats().stability_queries_sent, 2);
+        // A frontier frame from the peer ends the wait, whatever it
+        // says: if it did not settle the entry, the next idle edge asks
+        // again.
+        e[OWNER.index()].handle(Input::Deliver {
+            from: FRONT,
+            wire: Wire::FrontierVec(vec![Entry::ZERO; 3]),
+            now: 4,
+        });
+        let effects = idle(&mut e[OWNER.index()]);
+        assert_eq!(
+            wires_sent(&effects),
+            vec![(FRONT, Wire::StabilityQuery(third))]
+        );
+    }
+
+    #[test]
+    fn gossip_tick_and_crash_clear_the_query_tables() {
+        let mut e = sinks();
+        let asked = request(&mut e, 7);
+        idle(&mut e[OWNER.index()]);
+        e[FRONT.index()].handle(Input::Deliver {
+            from: OWNER,
+            wire: Wire::StabilityQuery(asked),
+            now: 4,
+        });
+
+        // Asking side: the gossip tick forgets the outstanding query,
+        // so the next idle edge asks again (the repair for a lost one).
+        e[OWNER.index()].handle(Input::Tick {
+            kind: TIMER_GOSSIP,
+            now: 8_000,
+        });
+        let effects = idle(&mut e[OWNER.index()]);
+        assert_eq!(
+            wires_sent(&effects),
+            vec![(FRONT, Wire::StabilityQuery(asked))]
+        );
+
+        // Answering side: the tick forgets the waiter too.
+        let mut front = e[FRONT.index()].clone();
+        front.handle(Input::Tick {
+            kind: TIMER_GOSSIP,
+            now: 8_000,
+        });
+        assert!(idle(&mut front).is_empty(), "no waiter, no demand");
+        assert_eq!(front.stats().stability_replies_sent, 0);
+
+        // So does a crash, on both sides. The front's waiter is gone
+        // after its restart; the owner's output comes back through
+        // replay and is asked about afresh.
+        let front = &mut e[FRONT.index()];
+        front.handle(Input::Crash);
+        front.handle(Input::Restart { now: 9_000 });
+        assert!(idle(front).is_empty());
+        assert_eq!(front.stats().stability_replies_sent, 0);
+
+        let owner = &mut e[OWNER.index()];
+        let before = owner.stats().stability_queries_sent;
+        owner.handle(Input::Crash);
+        assert!(idle(owner).is_empty(), "a crashed process acts silently");
+        owner.handle(Input::Restart { now: 9_000 });
+        assert_eq!(owner.pending_outputs(), 1, "replay re-emits the output");
+        let effects = idle(owner);
+        assert_eq!(
+            wires_sent(&effects),
+            vec![(FRONT, Wire::StabilityQuery(asked))]
+        );
+        assert_eq!(owner.stats().stability_queries_sent, before + 1);
     }
 
     #[test]

@@ -122,6 +122,31 @@ pub enum Wire<M> {
     /// happened-before this clock would be skipped by the covered test of
     /// every future retransmission anyway.
     StableClock(ProcessId, Ftvc),
+    /// Stability on demand: "tell me as soon as your stable frontier
+    /// covers this `(version, ts)` of yours". Sent by a process holding a
+    /// pending output that depends on that entry; the addressee answers
+    /// with the ordinary [`Wire::Frontier`]/[`Wire::FrontierVec`] gossip
+    /// once its log is flushed that far (at once if it already is). The
+    /// asker is the transport-level sender. A pure hint: every answer is
+    /// a fact the periodic gossip would have carried anyway, so a lost
+    /// query or reply costs one gossip interval, never safety.
+    StabilityQuery(Entry),
+}
+
+impl<M> Wire<M> {
+    /// `true` for stability traffic (frontier and stable-clock gossip,
+    /// stability queries): it flows whether or not the application is
+    /// doing anything, so runtimes must not count it as activity when
+    /// deciding that a system has gone quiet.
+    pub fn is_background(&self) -> bool {
+        matches!(
+            self,
+            Wire::Frontier(..)
+                | Wire::FrontierVec(_)
+                | Wire::StableClock(..)
+                | Wire::StabilityQuery(_)
+        )
+    }
 }
 
 #[cfg(test)]
@@ -181,6 +206,36 @@ mod tests {
             clock: clock(),
         };
         assert_eq!(env.piggyback_bytes(), wire::ftvc_wire_len(&clock()));
+    }
+
+    #[test]
+    fn background_is_exactly_the_stability_traffic() {
+        let e = Entry::new(0, 1);
+        for wire in [
+            Wire::<u8>::Frontier(ProcessId(0), e),
+            Wire::FrontierVec(vec![e]),
+            Wire::StableClock(ProcessId(1), clock()),
+            Wire::StabilityQuery(e),
+        ] {
+            assert!(wire.is_background(), "{wire:?}");
+        }
+        let env = Envelope {
+            payload: 0u8,
+            clock: clock(),
+        };
+        let token = Token {
+            from: ProcessId(2),
+            entry: e,
+            full_clock: None,
+        };
+        for wire in [
+            Wire::App(env.clone()),
+            Wire::Resend(env),
+            Wire::Token(token),
+            Wire::TokenAck(e),
+        ] {
+            assert!(!wire.is_background(), "{wire:?}");
+        }
     }
 
     #[test]

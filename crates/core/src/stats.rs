@@ -21,7 +21,8 @@ pub struct ProcessStats {
     /// Engine inputs processed (one per `handle_into` call: deliveries,
     /// ticks, crashes, restarts, injected sends). This is the unit the
     /// throughput experiments normalize to, on every runtime (see
-    /// E13/E15 in `dg-bench`).
+    /// E13/E15 in `dg-bench`). `Input::Idle` is not counted: it carries
+    /// nothing from outside, it only marks where a batch of these ended.
     pub inputs: u64,
     /// Application messages sent (including regenerated sends after
     /// rollback, excluding suppressed replay sends).
@@ -80,6 +81,17 @@ pub struct ProcessStats {
     pub checkpoint_bytes_pending: u64,
     /// Asynchronous flushes performed.
     pub flushes: u64,
+    /// The subset of `flushes` performed on an idle edge (`Input::Idle`)
+    /// because an output or a peer's stability query was waiting on the
+    /// log, rather than on the flush tick.
+    pub idle_flushes: u64,
+    /// Stability queries sent: one per idle edge and peer whose stable
+    /// frontier a pending output still lacks, unless one at least as
+    /// high was already outstanding.
+    pub stability_queries_sent: u64,
+    /// Frontier frames sent in answer to a peer's stability query (on
+    /// receipt if already covered, otherwise after the idle-edge flush).
+    pub stability_replies_sent: u64,
     /// Bytes of log records group-committed by asynchronous flushes (the
     /// wire-honest size of every entry each flush made stable), plus
     /// synchronously-forced token records.

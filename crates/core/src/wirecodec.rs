@@ -123,6 +123,7 @@ const TAG_STABLE: u8 = 5;
 /// engine ever looks at the frame.
 const TAG_APP_DELTA: u8 = 6;
 const TAG_FRONTIER_VEC: u8 = 7;
+const TAG_STABILITY_QUERY: u8 = 8;
 
 /// Classify an encoded frame by its leading tag byte without decoding
 /// it: `true` for control-plane messages (tokens, acks, frontier
@@ -133,6 +134,17 @@ const TAG_FRONTIER_VEC: u8 = 7;
 /// traffic class whose loss the protocol is specified to mask.
 pub fn is_control_frame(first_byte: u8) -> bool {
     !matches!(first_byte, TAG_APP | TAG_RESEND | TAG_APP_DELTA)
+}
+
+/// [`Wire::is_background`] from the leading tag byte, without decoding:
+/// `true` for stability gossip and queries — facts and hints that are
+/// repeated or repaired by the next gossip round, so a transport may
+/// drop them (a runtime does, for a process that is down).
+pub fn is_background_frame(first_byte: u8) -> bool {
+    matches!(
+        first_byte,
+        TAG_FRONTIER | TAG_STABLE | TAG_FRONTIER_VEC | TAG_STABILITY_QUERY
+    )
 }
 
 /// `true` iff an encoded frame is a delta App frame, which must be
@@ -244,6 +256,10 @@ pub fn encode_wire_into<M: Payload>(wire: &Wire<M>, buf: &mut BytesMut) {
             put_varint(buf, u64::from(p.0));
             put_clock(buf, clock);
         }
+        Wire::StabilityQuery(entry) => {
+            buf.put_u8(TAG_STABILITY_QUERY);
+            put_entry(buf, *entry);
+        }
     }
 }
 
@@ -345,6 +361,7 @@ pub fn decode_wire<M: Payload>(mut bytes: Bytes) -> Result<Wire<M>, CodecError> 
             let clock = decode_ftvc(bytes)?;
             Ok(Wire::StableClock(p, clock))
         }
+        TAG_STABILITY_QUERY => Ok(Wire::StabilityQuery(get_entry(&mut bytes)?)),
         other => Err(CodecError::BadTag(other)),
     }
 }
@@ -431,6 +448,49 @@ mod tests {
             is_control_frame(bytes.clone().get_u8()),
             "aggregated frontier gossip is control-plane traffic"
         );
+    }
+
+    #[test]
+    fn stability_query_roundtrip_and_classification() {
+        let wire = Wire::StabilityQuery(Entry::new(3, 70_000));
+        roundtrip(wire.clone());
+        let bytes = encode_wire(&wire);
+        assert!(
+            is_control_frame(bytes.clone().get_u8()),
+            "stability queries are control-plane traffic"
+        );
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_wire::<u64>(bytes.slice(0..cut)).is_err(),
+                "cut at {cut} must fail"
+            );
+        }
+    }
+
+    #[test]
+    fn byte_classifier_agrees_with_is_background() {
+        let env = Envelope {
+            payload: 1u64,
+            clock: clock(),
+        };
+        let e = Entry::new(1, 2);
+        for wire in [
+            Wire::App(env.clone()),
+            Wire::Resend(env),
+            Wire::Token(Token {
+                from: ProcessId(0),
+                entry: e,
+                full_clock: None,
+            }),
+            Wire::TokenAck(e),
+            Wire::Frontier(ProcessId(0), e),
+            Wire::FrontierVec(vec![e]),
+            Wire::StableClock(ProcessId(1), clock()),
+            Wire::StabilityQuery(e),
+        ] {
+            let tag = encode_wire(&wire).as_slice()[0];
+            assert_eq!(is_background_frame(tag), wire.is_background(), "{wire:?}");
+        }
     }
 
     #[test]

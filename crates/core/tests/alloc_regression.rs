@@ -15,6 +15,7 @@
 //! the test deterministically.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dg_core::engine::{Effect, Engine, Input, ProtocolEngine};
@@ -25,17 +26,34 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of `ALLOCS`: exact for one test even
+    /// while the rest of this binary's tests run beside it. Const-
+    /// initialised and without a destructor, so touching it from inside
+    /// the allocator neither allocates nor outlives the thread.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -103,13 +121,20 @@ fn hop(
     next.expect("relay always forwards")
 }
 
-fn assert_steady_state_allocation_free(n: usize) {
+/// `n` started relay engines, their shared sink, and the seed send
+/// from P0 that sets the token circulating.
+#[allow(clippy::type_complexity)]
+fn start_ring(
+    n: usize,
+) -> (
+    Vec<Engine<Relay>>,
+    EffectSink<Wire<u64>, u64>,
+    (ProcessId, ProcessId, Wire<u64>),
+) {
     let config = DgConfig::fast_test();
     let mut engines: Vec<Engine<Relay>> = (0..n)
         .map(|p| Engine::new(ProcessId(p as u16), n, Relay, config))
         .collect();
-
-    // Start everyone; pick up the seed send from P0.
     let mut sink: EffectSink<Wire<u64>, u64> = EffectSink::new();
     let mut seed = None;
     for (p, engine) in engines.iter_mut().enumerate() {
@@ -120,7 +145,11 @@ fn assert_steady_state_allocation_free(n: usize) {
             }
         }
     }
-    let (mut to, mut from, mut wire) = seed.expect("P0 seeds the token");
+    (engines, sink, seed.expect("P0 seeds the token"))
+}
+
+fn assert_steady_state_allocation_free(n: usize) {
+    let (mut engines, mut sink, (mut to, mut from, mut wire)) = start_ring(n);
 
     // Warm up: populate history records, grow the dedup set and log
     // buffers past their initial doublings.
@@ -238,4 +267,157 @@ fn batched_release_allocates_nothing_n4() {
 #[test]
 fn batched_release_allocates_nothing_n8() {
     assert_batched_release_allocation_free(8);
+}
+
+/// An idle edge nobody is waiting on must be free: no pending outputs,
+/// no stability queries — the engine looks and returns. Exact zero over
+/// the whole loop, not a minimum over batches.
+#[test]
+fn idle_without_demand_allocates_nothing() {
+    let (mut engines, mut sink, (mut to, mut from, mut wire)) = start_ring(4);
+    for now in 1..1_000 {
+        (to, from, wire) = hop(&mut engines, &mut sink, to, from, wire, now);
+    }
+    let before = thread_allocs();
+    for now in 1_000..11_000 {
+        for engine in &mut engines {
+            engine.handle_into(Input::Idle { now }, &mut sink);
+            assert!(sink.is_empty(), "no demand, no effects");
+        }
+    }
+    assert_eq!(thread_allocs() - before, 0);
+}
+
+/// Every delivery becomes an external output; nothing is sent.
+#[derive(Clone)]
+struct Responder;
+
+impl Application for Responder {
+    type Msg = u64;
+
+    fn on_start(&mut self, _me: ProcessId, _n: usize) -> Effects<u64> {
+        Effects::none()
+    }
+
+    fn on_message(&mut self, me: ProcessId, from: ProcessId, msg: &u64, n: usize) -> Effects<u64> {
+        let mut eff = Effects::none();
+        self.on_message_into(me, from, msg, n, &mut eff);
+        eff
+    }
+
+    fn on_message_into(
+        &mut self,
+        _me: ProcessId,
+        _from: ProcessId,
+        msg: &u64,
+        _n: usize,
+        eff: &mut Effects<u64>,
+    ) {
+        eff.outputs.push(*msg);
+    }
+}
+
+/// The commit-on-demand path — request in at a front, output pending at
+/// the owner, idle-edge flush, stability query, frontier reply, sweep —
+/// must cost allocations per *round*, not per request: one frontier
+/// vector per reply and one `Commit` vector per owner, however many
+/// requests the round carried. Pinned as "a round of 256 requests
+/// allocates exactly what a round of 64 does" (minimum over rounds, so
+/// amortized container growth drops out), i.e. 0 allocations/request.
+fn assert_demand_path_allocation_free_per_request(n: usize) {
+    let config = DgConfig::serving().with_grouped_commit(true);
+    let mut engines: Vec<Engine<Responder>> = (0..n)
+        .map(|p| Engine::new(ProcessId(p as u16), n, Responder, config))
+        .collect();
+    let mut sink: EffectSink<Wire<u64>, u64> = EffectSink::new();
+    for engine in &mut engines {
+        engine.handle_into(Input::Start { now: 0 }, &mut sink);
+        sink.clear();
+    }
+    let mut net: std::collections::VecDeque<(ProcessId, ProcessId, Wire<u64>)> =
+        std::collections::VecDeque::with_capacity(1024);
+    let mut now = 1u64;
+    let mut next_value = 0u64;
+
+    // Route one input's effects: sends onto the net, commits counted.
+    fn route(
+        sink: &mut EffectSink<Wire<u64>, u64>,
+        net: &mut std::collections::VecDeque<(ProcessId, ProcessId, Wire<u64>)>,
+        from: ProcessId,
+    ) -> usize {
+        let mut committed = 0;
+        for eff in sink.drain() {
+            match eff {
+                Effect::Send { to, wire, .. } => net.push_back((to, from, wire)),
+                Effect::Commit { outputs, .. } => committed += outputs.len(),
+                _ => {}
+            }
+        }
+        committed
+    }
+
+    // One round: `requests` requests (request i enters at front i mod n
+    // for owner i+1 mod n), then idle edges and deliveries alternate
+    // until nothing moves. Returns (allocations, outputs committed).
+    let mut round = |requests: usize| -> (u64, usize) {
+        let before = thread_allocs();
+        let mut committed = 0;
+        for i in 0..requests {
+            let front = ProcessId((i % n) as u16);
+            let to = ProcessId(((i + 1) % n) as u16);
+            next_value += 1;
+            now += 1;
+            let input = Input::AppSend {
+                to,
+                payload: next_value,
+                now,
+            };
+            engines[front.index()].handle_into(input, &mut sink);
+            committed += route(&mut sink, &mut net, front);
+        }
+        loop {
+            while let Some((to, from, wire)) = net.pop_front() {
+                now += 1;
+                engines[to.index()].handle_into(Input::Deliver { from, wire, now }, &mut sink);
+                committed += route(&mut sink, &mut net, to);
+            }
+            for (p, engine) in engines.iter_mut().enumerate() {
+                engine.handle_into(Input::Idle { now }, &mut sink);
+                committed += route(&mut sink, &mut net, ProcessId(p as u16));
+            }
+            if net.is_empty() {
+                break;
+            }
+        }
+        (thread_allocs() - before, committed)
+    };
+
+    for _ in 0..8 {
+        round(256); // warm every container past its doublings
+    }
+    let mut min_small = u64::MAX;
+    let mut min_large = u64::MAX;
+    for _ in 0..32 {
+        let (allocs, committed) = round(64);
+        assert_eq!(committed, 64, "every request commits within its round");
+        min_small = min_small.min(allocs);
+        let (allocs, committed) = round(256);
+        assert_eq!(committed, 256, "every request commits within its round");
+        min_large = min_large.min(allocs);
+    }
+    assert_eq!(
+        min_large, min_small,
+        "the commit-on-demand path allocates per request at n = {n}: \
+         {min_large} allocations for 256 requests, {min_small} for 64"
+    );
+}
+
+#[test]
+fn demand_path_allocates_nothing_per_request_n4() {
+    assert_demand_path_allocation_free_per_request(4);
+}
+
+#[test]
+fn demand_path_allocates_nothing_per_request_n8() {
+    assert_demand_path_allocation_free_per_request(8);
 }

@@ -7,8 +7,9 @@
 //!
 //! The recorded sequences come from a tiny scripted router: `n` engines
 //! exchange real wire traffic while a seeded scheduler interleaves
-//! deliveries, timer firings, external commands, crashes, and restarts.
-//! Whatever trace that produces, replay must reproduce it exactly.
+//! deliveries, timer firings, external commands, idle edges, crashes, and
+//! restarts. Whatever trace that produces, replay must reproduce it
+//! exactly.
 
 use std::collections::VecDeque;
 
@@ -57,8 +58,8 @@ struct Trace {
 }
 
 /// Drive `n` engines through a seeded interleaving of deliveries, timer
-/// firings, commands, and crash/restart pairs, recording each engine's
-/// input and effect streams.
+/// firings, commands, idle edges, and crash/restart pairs, recording each
+/// engine's input and effect streams.
 fn record(n: usize, seed: u64, steps: usize, crashes: &[usize]) -> Vec<Trace> {
     let config = DgConfig::serving().with_gossip(5_000);
     let mut engines: Vec<Engine<Relay>> = (0..n)
@@ -169,7 +170,7 @@ fn record(n: usize, seed: u64, steps: usize, crashes: &[usize]) -> Vec<Trace> {
                 continue;
             }
         }
-        match next(5) {
+        match next(6) {
             // Deliver a queued message (parking it if the target is down).
             0..=2 => {
                 if let Some(pos) = {
@@ -210,6 +211,22 @@ fn record(n: usize, seed: u64, steps: usize, crashes: &[usize]) -> Vec<Trace> {
                         now,
                         ProcessId(idx as u16),
                         Input::Tick { kind, now },
+                    );
+                }
+            }
+            // Report an idle edge at a live process: with outputs pending
+            // (every delivery emits one) it flushes, sweeps and queries.
+            4 => {
+                let p = ProcessId(next(n as u64) as u16);
+                if !down[p.index()] {
+                    feed(
+                        &mut engines,
+                        &mut traces,
+                        &mut timers,
+                        &mut net,
+                        now,
+                        p,
+                        Input::Idle { now },
                     );
                 }
             }

@@ -254,6 +254,7 @@ fn wire_digest<M>(wire: &Wire<M>) -> u64 {
             let own = clock.own_entry();
             (u64::from(p.0) << 40) ^ (u64::from(own.version.0) << 20) ^ own.ts ^ 0x6666
         }
+        Wire::StabilityQuery(e) => (u64::from(e.version.0) << 20) ^ e.ts ^ 0x8888,
     }
 }
 
@@ -268,9 +269,11 @@ fn wire_sender<M>(wire: &Wire<M>) -> ProcessId {
         // Acks carry no payload-level sender; the explorer never enables
         // the reliable-token sublayer, so none are ever in flight. The
         // aggregated frontier vector likewise only travels when tree
-        // gossip runs, which explorer configs keep off for determinism.
-        Wire::TokenAck(_) | Wire::FrontierVec(_) => {
-            unreachable!("explorer configs do not enable reliable tokens or tree gossip")
+        // gossip runs, which explorer configs keep off for determinism,
+        // and stability queries only answer `Input::Idle`, which the
+        // explorer never issues.
+        Wire::TokenAck(_) | Wire::FrontierVec(_) | Wire::StabilityQuery(_) => {
+            unreachable!("explorer runs have no reliable tokens, tree gossip or idle edges")
         }
     }
 }

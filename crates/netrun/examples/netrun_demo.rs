@@ -81,11 +81,14 @@ fn main() {
     let engines = cluster.shutdown();
 
     println!("quiescent: {quiesced}");
-    println!("proc  version  restarts  rollbacks  delivered  committed  app-last");
+    println!(
+        "proc  version  restarts  rollbacks  delivered  committed  app-last  \
+         flushes(idle)  queries  replies"
+    );
     for engine in &engines {
         let stats = EngineView::stats(engine);
         println!(
-            "{:>4}  {:>7}  {:>8}  {:>9}  {:>9}  {:>9}  {:>8}",
+            "{:>4}  {:>7}  {:>8}  {:>9}  {:>9}  {:>9}  {:>8}  {:>7}({:>4})  {:>7}  {:>7}",
             EngineView::id(engine).to_string(),
             EngineView::version(engine).to_string(),
             stats.restarts,
@@ -93,6 +96,10 @@ fn main() {
             stats.messages_delivered,
             engine.committed_outputs().count(),
             engine.app().last,
+            stats.flushes,
+            stats.idle_flushes,
+            stats.stability_queries_sent,
+            stats.stability_replies_sent,
         );
     }
 

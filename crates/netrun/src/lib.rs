@@ -21,14 +21,22 @@
 //!   monotonic clock and passed into the engine as `Input::*::now`. The
 //!   engine never reads a clock itself.
 //! * **Timers** — a per-node binary heap driving `Input::Tick`.
+//! * **Idle edges** — the event loop drains everything queued without
+//!   blocking, then tells each engine that handled something
+//!   `Input::Idle` before it waits again. That is the engine's cue to
+//!   flush, answer stability queries and commit on demand, so commit
+//!   latency is message delays; the flush and gossip timers remain as
+//!   the upper bound for a loop that never runs dry.
 //! * **Faults** — [`Cluster::crash`] delivers `Input::Crash`, parks
-//!   inbound frames for the downtime (the protocol does not assume
+//!   inbound frames other than stability gossip and queries for the
+//!   downtime (the protocol does not assume
 //!   reliable channels, but parking mirrors the simulator's semantics
 //!   and keeps TCP connections alive across a process-level restart),
 //!   then delivers `Input::Restart` and replays the parked frames.
 //! * **Quiescence** — activity-based: the cluster is quiet when no
-//!   recovery work is pending anywhere and no non-gossip traffic has
-//!   moved for several consecutive probes.
+//!   recovery work is pending anywhere and no traffic other than
+//!   stability gossip and queries (`Wire::is_background`) has moved for
+//!   several consecutive probes.
 //!
 //! After [`Cluster::shutdown`] the engines come back to the caller, so
 //! tests run the *same* consistency oracle (`dg_harness::oracle::
@@ -49,7 +57,8 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use dg_core::wirecodec::{
-    decode_app_delta, decode_wire, encode_app_delta, encode_wire_into, is_app_delta_frame, Payload,
+    decode_app_delta, decode_wire, encode_app_delta, encode_wire_into, is_app_delta_frame,
+    is_background_frame, Payload,
 };
 use dg_core::{
     Application, DgConfig, Effect, EffectSink, Engine, EngineView, Input, ProtocolEngine,
@@ -87,8 +96,8 @@ impl Default for RunConfig {
 /// What a node reports when probed (see [`Cluster::statuses`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStatus {
-    /// Monotone count of protocol-relevant events (non-gossip frames in,
-    /// sends out, crashes).
+    /// Monotone count of protocol-relevant events (frames in and sends
+    /// out that are not background stability traffic, crashes).
     pub activity: u64,
     /// `true` while crashed (between `Input::Crash` and `Input::Restart`).
     pub down: bool,
@@ -473,6 +482,9 @@ where
     down: bool,
     restart_at: Option<u64>,
     parked: Vec<(ProcessId, Vec<u8>)>,
+    /// The engine has handled an input since it was last told
+    /// [`Input::Idle`]; the next idle edge of the event loop owes it one.
+    since_idle: bool,
     activity: u64,
     frames_corrupt: u64,
     last_corrupt_reason: Option<&'static str>,
@@ -554,7 +566,16 @@ where
 
     fn on_frame(&mut self, from: ProcessId, bytes: Vec<u8>) {
         if self.down {
-            self.parked.push((from, bytes));
+            // Stability gossip and queries addressed to a dead process
+            // are dropped, not parked: they are repeated anyway, and
+            // replayed after the restart they would run ahead of the
+            // application frames parked behind them — a frontier frame
+            // triggers history GC, which must not reclaim the restarted
+            // process's token record before the orphan messages of its
+            // dead version, waiting in the same queue, have been judged.
+            if !bytes.first().copied().is_some_and(is_background_frame) {
+                self.parked.push((from, bytes));
+            }
             return;
         }
         let decoded = match bytes.first() {
@@ -585,10 +606,7 @@ where
                 slot => *slot = Some(env.clock.clone()),
             }
         }
-        if !matches!(
-            wire,
-            Wire::Frontier(..) | Wire::FrontierVec(_) | Wire::StableClock(..)
-        ) {
+        if !wire.is_background() {
             self.activity += 1;
         }
         let now = now_us(&self.start);
@@ -618,6 +636,7 @@ where
             return;
         }
         self.activity += sends.len() as u64;
+        self.since_idle = true;
         let dropped_before = self.mesh.frames_dropped;
         let mut sink = std::mem::take(&mut self.sink);
         for (to, payload) in sends {
@@ -662,10 +681,41 @@ where
     /// Feed one input to the engine and execute the resulting effects,
     /// reusing the node's sink so the handoff allocates nothing.
     fn step(&mut self, input: Input<Wire<A::Msg>, A::Msg>) {
+        self.since_idle = true;
         let mut sink = std::mem::take(&mut self.sink);
         self.engine.handle_into(input, &mut sink);
         self.run_effects(&mut sink);
         self.sink = sink;
+    }
+
+    /// The event loop ran dry: if the engine handled anything since the
+    /// last time, tell it so. This is what lets it flush, answer
+    /// stability queries and commit now rather than at the next tick.
+    fn idle_edge(&mut self) {
+        if !self.since_idle || self.down {
+            return;
+        }
+        let now = now_us(&self.start);
+        self.step(Input::Idle { now });
+        self.since_idle = false;
+    }
+
+    fn on_event(&mut self, event: Event<A::Msg>) {
+        match event {
+            Event::Frame { from, bytes } => self.on_frame(from, bytes),
+            Event::Mangled { reason } => {
+                self.frames_corrupt += 1;
+                self.last_corrupt_reason = Some(reason);
+            }
+            Event::AppSend { to, payload } => self.on_app_send(to, payload),
+            Event::AppSendBatch { sends } => self.on_app_send_batch(sends),
+            Event::Crash { downtime_us } => self.on_crash(downtime_us),
+            Event::Fault(fault) => self.on_fault(fault),
+            Event::Probe { reply } => {
+                let _ = reply.send(self.status());
+            }
+            Event::Stop => {} // wake-up only; the loop condition exits
+        }
     }
 
     fn run_effects(&mut self, sink: &mut EffectSink<Wire<A::Msg>, A::Msg>) {
@@ -710,13 +760,10 @@ where
         for effect in sink.drain() {
             match effect {
                 Effect::Send { to, wire, .. } => {
-                    // Tree gossip arrives as unicast sends; like the
-                    // broadcast form below it must not count as activity
-                    // or quiescence never comes.
-                    if !matches!(
-                        wire,
-                        Wire::Frontier(..) | Wire::FrontierVec(_) | Wire::StableClock(..)
-                    ) {
+                    // Tree gossip and stability queries travel as unicast
+                    // sends; like the broadcast form below they must not
+                    // count as activity or quiescence never comes.
+                    if !wire.is_background() {
                         self.activity += 1;
                     }
                     self.encode_unicast(to, &wire);
@@ -730,10 +777,7 @@ where
                     // Frontier and stable-clock gossip are periodic
                     // background traffic; they must not count as activity
                     // or quiescence never comes.
-                    if !matches!(
-                        wire,
-                        Wire::Frontier(..) | Wire::FrontierVec(_) | Wire::StableClock(..)
-                    ) {
+                    if !wire.is_background() {
                         self.activity += 1;
                     }
                     self.wire_scratch.clear();
@@ -826,15 +870,25 @@ where
 /// Event loop of one OS thread driving `nodes` (a single node in the
 /// default configuration, several when [`RunConfig::node_threads`] pins
 /// the cluster to a pool). All the nodes' events arrive on one shared
-/// channel tagged with the node index; the loop pumps every node's due
-/// timers before each wait, so co-hosted nodes cannot starve each other
-/// of ticks, only delay them by one handler.
+/// channel tagged with the node index.
+///
+/// The loop is drain-then-idle. It first handles everything already
+/// queued without blocking, pumping every node's due timers before each
+/// event so co-hosted nodes cannot starve each other of ticks, only delay
+/// them by one handler. When the channel runs dry it gives each node
+/// that handled something one [`Input::Idle`] — the engine's cue to
+/// flush, answer stability queries and commit on demand — and only then
+/// blocks until the next event or timer. Batching is therefore
+/// self-clocked: an idle cluster commits within a round trip, a busy one
+/// amortises one flush, sweep and query round over whatever queued up,
+/// and a thread that never runs dry sees no idle edge at all and runs on
+/// its timers alone.
 ///
 /// `stop` is the cluster's shutdown flag. [`Event::Stop`] alone is not
 /// enough: it queues behind the backlog, and once a sibling thread has
 /// exited, sends to its nodes fail slowly (connect retries) while ticks
 /// re-arm, so a busy thread might never read that far. The flag is
-/// checked before every iteration; the event only wakes an idle wait.
+/// checked before every event; the event only wakes an idle wait.
 fn run_shard<A: Application>(
     mut nodes: Vec<(usize, Node<A>)>,
     rx: &mpsc::Receiver<(usize, Event<A::Msg>)>,
@@ -843,39 +897,40 @@ fn run_shard<A: Application>(
 where
     A::Msg: Payload,
 {
+    fn deliver<A: Application>(nodes: &mut [(usize, Node<A>)], idx: usize, event: Event<A::Msg>)
+    where
+        A::Msg: Payload,
+    {
+        nodes
+            .iter_mut()
+            .find(|(i, _)| *i == idx)
+            .map(|(_, n)| n)
+            .expect("event for a node this thread owns")
+            .on_event(event);
+    }
+
     for (_, node) in &mut nodes {
         let now = now_us(&node.start);
         node.step(Input::Start { now });
     }
-    while !stop.load(Ordering::Relaxed) {
+    'run: while !stop.load(Ordering::Relaxed) {
+        while !stop.load(Ordering::Relaxed) {
+            for (_, node) in &mut nodes {
+                node.pump_due(stop);
+            }
+            match rx.try_recv() {
+                Ok((idx, event)) => deliver(&mut nodes, idx, event),
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => break 'run,
+            }
+        }
         let mut wait = Duration::from_micros(100_000);
         for (_, node) in &mut nodes {
-            node.pump_due(stop);
+            node.idle_edge();
             wait = wait.min(node.wait_duration());
         }
         match rx.recv_timeout(wait) {
-            Ok((idx, event)) => {
-                let node = nodes
-                    .iter_mut()
-                    .find(|(i, _)| *i == idx)
-                    .map(|(_, n)| n)
-                    .expect("event for a node this thread owns");
-                match event {
-                    Event::Frame { from, bytes } => node.on_frame(from, bytes),
-                    Event::Mangled { reason } => {
-                        node.frames_corrupt += 1;
-                        node.last_corrupt_reason = Some(reason);
-                    }
-                    Event::AppSend { to, payload } => node.on_app_send(to, payload),
-                    Event::AppSendBatch { sends } => node.on_app_send_batch(sends),
-                    Event::Crash { downtime_us } => node.on_crash(downtime_us),
-                    Event::Fault(fault) => node.on_fault(fault),
-                    Event::Probe { reply } => {
-                        let _ = reply.send(node.status());
-                    }
-                    Event::Stop => {} // wake-up only; the loop condition exits
-                }
-            }
+            Ok((idx, event)) => deliver(&mut nodes, idx, event),
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
             Err(mpsc::RecvTimeoutError::Timeout) => {} // pump_due handles it
         }
@@ -1122,6 +1177,7 @@ where
                     down: false,
                     restart_at: None,
                     parked: Vec::new(),
+                    since_idle: false,
                     activity: 0,
                     frames_corrupt: 0,
                     last_corrupt_reason: None,

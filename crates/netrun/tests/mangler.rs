@@ -2,8 +2,9 @@
 //!
 //! A rogue connection spews malformed traffic at every node's real
 //! listener while the ring workload runs: oversized and zero length
-//! prefixes, prefixes cut mid-read, bodies cut mid-read, and perfectly
-//! framed garbage that fails wire decoding. The contract under attack:
+//! prefixes, prefixes cut mid-read, bodies cut mid-read, perfectly
+//! framed garbage that fails wire decoding, and well-formed stability
+//! queries from nobody about nothing. The contract under attack:
 //! every mangled frame is counted and contained (at worst the rogue
 //! connection dies) — no panic, no wedged node, no effect on the
 //! protocol's committed outputs.
@@ -15,7 +16,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use common::{expected_outputs, Ring};
-use dg_core::{DgConfig, EngineView};
+use dg_core::wirecodec::encode_wire;
+use dg_core::{DgConfig, EngineView, Entry, Wire};
 use dg_harness::oracle;
 use dg_netrun::Cluster;
 
@@ -25,6 +27,19 @@ const COOLDOWN: u64 = 600;
 
 fn config() -> DgConfig {
     DgConfig::serving()
+}
+
+/// A frame the reader accepts: honest length, the given sender id and a
+/// correct FNV-1a checksum over `wire`.
+fn valid_frame(sender: u16, wire: &[u8]) -> Vec<u8> {
+    let checksum = wire.iter().fold(0x811c_9dc5u32, |h, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    });
+    let mut frame = ((6 + wire.len()) as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&sender.to_le_bytes());
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame.extend_from_slice(wire);
+    frame
 }
 
 /// Open a fresh connection to `addr`, write `bytes`, and hang up.
@@ -40,7 +55,12 @@ fn byte_mangler_cannot_wedge_or_panic_a_node() {
         Cluster::launch(N, |_| Ring::new(LIMIT, COOLDOWN), config()).expect("bind listeners");
     std::thread::sleep(Duration::from_millis(30));
 
-    // Five distinct attacks on every node, mid-traffic.
+    // Stability queries about an entry no process will ever reach.
+    let query = encode_wire(&Wire::<u64>::StabilityQuery(Entry::new(9, 1 << 40)));
+    let query = query.as_slice();
+
+    // Six counted attacks and two that must simply bounce off, on every
+    // node, mid-traffic.
     for &addr in &cluster.addrs() {
         // Length prefix far outside the protocol envelope: must be
         // rejected before it can size an allocation.
@@ -59,6 +79,15 @@ fn byte_mangler_cannot_wedge_or_panic_a_node() {
         let mut framed = (body.len() as u32).to_le_bytes().to_vec();
         framed.extend_from_slice(&body);
         spew(addr, &framed);
+        // A query frame cut after its tag, checksum and all: fails wire
+        // decoding like any other garbage.
+        spew(addr, &valid_frame(0, &query[..1]));
+        // Whole, valid query frames: from a sender id outside the system
+        // (ignored, never used as an index) and from a real peer (held
+        // until the next gossip tick, then forgotten). Neither counts as
+        // corrupt, neither may keep the cluster from going quiet.
+        spew(addr, &valid_frame(u16::MAX, query));
+        spew(addr, &valid_frame(0, query));
     }
 
     assert!(
@@ -67,8 +96,8 @@ fn byte_mangler_cannot_wedge_or_panic_a_node() {
     );
     for (i, status) in cluster.statuses().iter().enumerate() {
         assert!(
-            status.frames_corrupt >= 5,
-            "node {i} counted {} corrupt frames, expected all 5 attacks \
+            status.frames_corrupt >= 6,
+            "node {i} counted {} corrupt frames, expected all 6 attacks \
              (last reason: {:?})",
             status.frames_corrupt,
             status.last_corrupt_reason

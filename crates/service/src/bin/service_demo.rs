@@ -136,6 +136,16 @@ fn main() {
     let restarts: u64 = engines.iter().map(|e| EngineView::stats(e).restarts).sum();
 
     println!("   restarts: {restarts} (expected 1)");
+    let sum = |f: fn(&dg_core::ProcessStats) -> u64| -> u64 {
+        engines.iter().map(|e| f(EngineView::stats(e))).sum()
+    };
+    println!(
+        "   log flushes: {} ({} on an idle edge) | stability queries: {} sent, {} answered",
+        sum(|s| s.flushes),
+        sum(|s| s.idle_flushes),
+        sum(|s| s.stability_queries_sent),
+        sum(|s| s.stability_replies_sent),
+    );
     if violations.is_empty() && quiet && restarts == 1 {
         println!("== PASS: no acked write lost, no phantom read, no duplicate apply ==");
     } else {

@@ -11,6 +11,17 @@
 //! (`session % pool`) so committed responses always route to the
 //! connection that will read them.
 //!
+//! An open-loop request is timed from when it was **due**, not from
+//! when the generator got round to sending it, so a stall of the
+//! generator (or of the system, which a closed loop would answer by
+//! offering less) shows up in the latencies instead of vanishing from
+//! them; how late the generator ran is reported beside them
+//! ([`LoadOutcome::late_us`]). To keep that lateness small nothing here
+//! waits on a socket timeout — on this kernel a 1 ms `SO_RCVTIMEO`
+//! returns after 8 — each connection has a reader thread blocking in
+//! `read` that stamps what arrives and hands it to the worker over a
+//! channel, whose timed wait is good to a tenth of a millisecond.
+//!
 //! Every worker keeps the full end-to-end discipline: requests are
 //! re-issued with the same id after an attempt timeout, shed requests
 //! back off and retry, and a request still unanswered at its deadline
@@ -24,8 +35,9 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
-use std::thread;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dg_apps::{SvcOp, SvcReply, SvcRequest};
@@ -33,6 +45,10 @@ use dg_harness::loadgen::{Arrival, LoadConfig, LoadMode, LoadOp};
 use dg_harness::service_oracle::{ReadRecord, ResponseRecord, ServiceJournal, WriteRecord};
 
 use crate::wire::{self, FillRead, ServerFrame};
+
+/// Longest a worker waits for replies before it looks at its retry and
+/// deadline timers again.
+const MAX_WAIT: Duration = Duration::from_millis(5);
 
 /// Driver knobs.
 #[derive(Debug, Clone, Copy)]
@@ -61,9 +77,16 @@ impl Default for LoadOptions {
 pub struct LoadOutcome {
     /// The merged witness for the service oracle.
     pub journal: ServiceJournal,
-    /// Output-commit latency of every acknowledged request, first send
-    /// to acknowledgement, microseconds. Unsorted.
+    /// Output-commit latency of every acknowledged request, microseconds,
+    /// unsorted: to the acknowledgement from the time the schedule said
+    /// to send it (open loop) or from the first send (closed loop, which
+    /// has no schedule).
     pub latencies_us: Vec<u64>,
+    /// How late the generator sent each open-loop request: first send
+    /// minus due time, microseconds, unsorted. Already included in
+    /// `latencies_us`; a run whose lateness rivals its latencies measured
+    /// the generator. Empty for a closed loop.
+    pub late_us: Vec<u64>,
     /// Distinct requests issued.
     pub issued: u64,
     /// Requests acknowledged with a committed answer.
@@ -83,13 +106,13 @@ impl LoadOutcome {
     /// none were recorded. Sorts a copy; call on the aggregate, not in a
     /// loop.
     pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        quantile(&self.latencies_us, q)
+    }
+
+    /// The `q`-quantile of the generator's lateness
+    /// ([`LoadOutcome::late_us`]), or 0 for a closed loop.
+    pub fn lateness_quantile_us(&self, q: f64) -> u64 {
+        quantile(&self.late_us, q)
     }
 
     /// Acked requests per second over the run.
@@ -98,10 +121,22 @@ impl LoadOutcome {
     }
 }
 
+fn quantile(values: &[u64], q: f64) -> u64 {
+    if values.is_empty() {
+        return 0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+    sorted[idx]
+}
+
 /// One in-flight request a worker is tracking.
 struct Pending {
     request: SvcRequest,
-    first_sent: Instant,
+    /// Where latency and the deadline count from: the due time in an
+    /// open loop, the first send in a closed one.
+    since: Instant,
     last_sent: Instant,
     /// For writes: the value (None = delete); used for journal records.
     write_value: Option<Option<u64>>,
@@ -147,6 +182,7 @@ pub fn run_load(fronts: &[SocketAddr], cfg: &LoadConfig, opts: &LoadOptions) -> 
         out.journal.observed_gets.extend(part.journal.observed_gets);
         out.journal.responses.extend(part.journal.responses);
         out.latencies_us.extend(part.latencies_us);
+        out.late_us.extend(part.late_us);
         out.issued += part.issued;
         out.acked += part.acked;
         out.retries += part.retries;
@@ -168,6 +204,69 @@ fn reply_summary(reply: SvcReply) -> u64 {
     }
 }
 
+/// What a connection's reader thread hands to its worker.
+enum Arrived {
+    /// A decoded frame, stamped when the `read` that carried it returned.
+    Frame(ServerFrame, Instant),
+    /// The stream ended, errored or stopped making sense.
+    Closed,
+}
+
+/// One connection to a front: the write half, and the reader thread
+/// blocking on the other half.
+struct Link {
+    stream: TcpStream,
+    rx: mpsc::Receiver<Arrived>,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Link {
+    fn connect(addr: SocketAddr) -> std::io::Result<Link> {
+        let stream = TcpStream::connect(addr)?;
+        let _ = stream.set_nodelay(true);
+        let mut read_half = stream.try_clone()?;
+        let (tx, rx) = mpsc::channel();
+        let reader = thread::spawn(move || {
+            let mut frames = wire::FrameBuffer::new();
+            'stream: loop {
+                match frames.fill(&mut read_half) {
+                    Ok(FillRead::Data) => {}
+                    Ok(FillRead::IdleTimeout) => continue,
+                    Ok(FillRead::Eof) | Err(_) => break,
+                }
+                let at = Instant::now();
+                loop {
+                    let frame = match frames.next_frame() {
+                        Ok(Some(body)) => wire::decode_server(body.to_vec()),
+                        Ok(None) => break,
+                        Err(_) => break 'stream,
+                    };
+                    let Ok(frame) = frame else { break 'stream };
+                    if tx.send(Arrived::Frame(frame, at)).is_err() {
+                        return; // the worker moved on
+                    }
+                }
+            }
+            let _ = tx.send(Arrived::Closed);
+        });
+        Ok(Link {
+            stream,
+            rx,
+            reader: Some(reader),
+        })
+    }
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        // Ends the reader's blocking read.
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn run_worker(
     worker: usize,
@@ -178,16 +277,17 @@ fn run_worker(
     start: Instant,
     hard_stop: Instant,
 ) -> LoadOutcome {
+    let open_loop = concurrency == usize::MAX;
     let mut out = LoadOutcome::default();
     queue.reverse(); // pop from the back in schedule order
     let mut pending: HashMap<(u64, u64), Pending> = HashMap::new();
     let mut next_req: HashMap<u64, u64> = HashMap::new();
     let mut next_val: HashMap<u64, u64> = HashMap::new();
     let mut cursor = worker % fronts.len();
-    let mut conn: Option<TcpStream> = None;
-    let mut frames = wire::FrameBuffer::new();
+    let mut link: Option<Link> = None;
     let mut sendbuf: Vec<u8> = Vec::new();
     let mut expired: Vec<(u64, u64)> = Vec::new();
+    let mut next_timer_scan = start;
 
     while !(queue.is_empty() && pending.is_empty()) {
         let now = Instant::now();
@@ -212,7 +312,7 @@ fn run_worker(
         while due < 1024 && pending.len() < concurrency {
             let Some(a) = queue.last() else { break };
             let due_at = start + Duration::from_micros(a.at_us);
-            if concurrency == usize::MAX && due_at > now {
+            if open_loop && due_at > now {
                 break;
             }
             let a = queue.pop().expect("peeked");
@@ -239,11 +339,19 @@ fn run_worker(
                 op,
             };
             sendbuf.extend_from_slice(&wire::encode_request(&request));
+            let since = if open_loop {
+                let late = now.duration_since(due_at);
+                out.late_us
+                    .push(u64::try_from(late.as_micros()).unwrap_or(u64::MAX));
+                due_at
+            } else {
+                now
+            };
             pending.insert(
                 (session, id),
                 Pending {
                     request,
-                    first_sent: now,
+                    since,
                     last_sent: now,
                     write_value,
                 },
@@ -252,102 +360,90 @@ fn run_worker(
             due += 1;
         }
 
-        // 2. Re-issue overdue requests; abandon the hopeless.
-        expired.clear();
-        for (key, p) in &mut pending {
-            if now.duration_since(p.first_sent) >= opts.deadline {
-                expired.push(*key);
-            } else if now.duration_since(p.last_sent) >= opts.attempt_timeout {
-                sendbuf.extend_from_slice(&wire::encode_request(&p.request));
-                p.last_sent = now;
-                out.retries += 1;
+        // 2. Re-issue overdue requests; abandon the hopeless. The timers
+        //    are hundreds of milliseconds, so a scan per reply wakeup
+        //    would be wasted work: look every MAX_WAIT.
+        if now >= next_timer_scan {
+            next_timer_scan = now + MAX_WAIT;
+            expired.clear();
+            for (key, p) in &mut pending {
+                if now.duration_since(p.since) >= opts.deadline {
+                    expired.push(*key);
+                } else if now.duration_since(p.last_sent) >= opts.attempt_timeout {
+                    sendbuf.extend_from_slice(&wire::encode_request(&p.request));
+                    p.last_sent = now;
+                    out.retries += 1;
+                }
             }
-        }
-        for key in &expired {
-            if let Some(p) = pending.remove(key) {
-                abandon(&mut out, &p);
+            for key in &expired {
+                if let Some(p) = pending.remove(key) {
+                    abandon(&mut out, &p);
+                }
             }
         }
 
         // 3. Put the batch on the wire (one write), reconnecting and
         //    rotating fronts on trouble. Lost bytes are re-issued by
         //    the attempt timeout — same-id retries are safe.
-        if conn.is_none() {
+        if link.is_none() {
             cursor = (cursor + 1) % fronts.len();
-            if let Ok(s) = TcpStream::connect(fronts[cursor]) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(Duration::from_millis(1)));
-                frames = wire::FrameBuffer::new();
-                conn = Some(s);
-            } else {
-                thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-        }
-        let mut drop_conn = false;
-        if !sendbuf.is_empty() {
-            let s = conn.as_mut().expect("connected above");
-            if s.write_all(&sendbuf).is_err() {
-                conn = None;
-                continue;
-            }
-        }
-
-        // 4. Drain whatever answers are ready (short read timeout keeps
-        //    the loop live even when quiet).
-        let s = conn.as_mut().expect("connected above");
-        match frames.fill(s) {
-            Ok(FillRead::Data) => {
-                // Fresh stamp: `now` is spin-start, and a reply that
-                // lands within its own issuing spin (a sub-millisecond
-                // commit caught by the fill timeout) would otherwise
-                // record a latency of exactly zero.
-                let drained_at = Instant::now();
-                loop {
-                    match frames.next_frame() {
-                        Ok(Some(body)) => {
-                            match wire::decode_server(body.to_vec()) {
-                                Ok(ServerFrame::Reply { client, req, reply }) => {
-                                    out.journal.responses.push(ResponseRecord {
-                                        client,
-                                        req,
-                                        summary: reply_summary(reply),
-                                    });
-                                    if let Some(p) = pending.remove(&(client, req)) {
-                                        settle(&mut out, &p, reply, drained_at);
-                                    }
-                                }
-                                Ok(ServerFrame::Shed { client, req }) => {
-                                    out.shed += 1;
-                                    // Back off: the attempt timer restarts,
-                                    // so the retry lands once the front has
-                                    // drained a little.
-                                    if let Some(p) = pending.get_mut(&(client, req)) {
-                                        p.last_sent = drained_at;
-                                    }
-                                }
-                                // Advisory "owner is down": the attempt
-                                // timer already covers it.
-                                Ok(ServerFrame::Retry) => {}
-                                Err(_) => {
-                                    drop_conn = true;
-                                    break;
-                                }
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
-                    }
+            match Link::connect(fronts[cursor]) {
+                Ok(l) => link = Some(l),
+                Err(_) => {
+                    thread::sleep(Duration::from_millis(2));
+                    continue;
                 }
             }
-            Ok(FillRead::IdleTimeout) => {}
-            Ok(FillRead::Eof) | Err(_) => drop_conn = true,
+        }
+        let conn = link.as_mut().expect("connected above");
+        if !sendbuf.is_empty() && conn.stream.write_all(&sendbuf).is_err() {
+            link = None;
+            continue;
+        }
+
+        // 4. Wait for answers, but no longer than until the next request
+        //    is due, then drain whatever else is already there.
+        let next_due = queue
+            .last()
+            .filter(|_| open_loop)
+            .map(|a| start + Duration::from_micros(a.at_us));
+        let wait = next_due.map_or(MAX_WAIT, |d| {
+            d.saturating_duration_since(Instant::now()).min(MAX_WAIT)
+        });
+        let mut arrived = conn.rx.recv_timeout(wait).ok();
+        let mut drop_conn = false;
+        while let Some(event) = arrived {
+            match event {
+                Arrived::Frame(ServerFrame::Reply { client, req, reply }, at) => {
+                    out.journal.responses.push(ResponseRecord {
+                        client,
+                        req,
+                        summary: reply_summary(reply),
+                    });
+                    if let Some(p) = pending.remove(&(client, req)) {
+                        settle(&mut out, &p, reply, at);
+                    }
+                }
+                Arrived::Frame(ServerFrame::Shed { client, req }, at) => {
+                    out.shed += 1;
+                    // Back off: the attempt timer restarts, so the retry
+                    // lands once the front has drained a little.
+                    if let Some(p) = pending.get_mut(&(client, req)) {
+                        p.last_sent = at;
+                    }
+                }
+                // Advisory "owner is down": the attempt timer already
+                // covers it.
+                Arrived::Frame(ServerFrame::Retry, _) => {}
+                Arrived::Closed => {
+                    drop_conn = true;
+                    break;
+                }
+            }
+            arrived = conn.rx.try_recv().ok();
         }
         if drop_conn {
-            conn = None;
+            link = None;
         }
     }
     out
@@ -357,7 +453,7 @@ fn run_worker(
 fn settle(out: &mut LoadOutcome, p: &Pending, reply: SvcReply, now: Instant) {
     out.acked += 1;
     out.latencies_us
-        .push(u64::try_from(now.duration_since(p.first_sent).as_micros()).unwrap_or(u64::MAX));
+        .push(u64::try_from(now.duration_since(p.since).as_micros()).unwrap_or(u64::MAX));
     match p.write_value {
         Some(value) => out.journal.acked_writes.push(WriteRecord {
             client: p.request.client,
