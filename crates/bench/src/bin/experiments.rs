@@ -1,11 +1,14 @@
 //! Experiment driver: regenerates every table/figure reproduction.
 //!
 //! ```text
-//! experiments [all|table1|rollbacks|piggyback|asynchrony|concurrent|
+//! experiments [all|paper|table1|rollbacks|piggyback|asynchrony|concurrent|
 //!              ordering|overhead|optimism|domino|maxstate|commit|gc|lossy|
 //!              engine|scaling|service|load|storage]
-//!             [--quick]
+//!             [--quick] [--csv]
 //! ```
+//!
+//! `paper` runs the paper's own evaluation, Table 1 through E11, in the
+//! order above; its output is pinned by `tests/golden/paper.txt`.
 //!
 //! Exits non-zero if any run violates the consistency oracle.
 //!
@@ -68,84 +71,18 @@ fn main() {
 
     let (n, seeds) = if quick { (6, 3) } else { (8, 10) };
 
-    let run = |name: &str| which == "all" || which == name;
-    let show = |t: &dg_bench::table::TextTable| {
-        if csv {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{t}");
-        }
-        println!();
+    let run = |name: &str| {
+        which == "all" || which == name || (which == "paper" && PAPER_EXPERIMENTS.contains(&name))
     };
+    let show = |t: &dg_bench::table::TextTable| print!("{}", dg_bench::paper::render(t, csv));
 
-    if run("table1") {
-        println!("== Table 1 (measured reproduction): protocol comparison ==");
-        println!("   workload: mesh chatter, n={n}, crash of P0 at t=2.5ms, {seeds} seeds\n");
-        show(&table1(n, seeds));
-    }
-    if run("rollbacks") {
-        println!("== E1a: rollbacks per failure ==\n");
-        show(&table1_rollbacks(n, seeds));
-    }
-    if run("piggyback") {
-        println!("== E1b: piggyback bytes per message vs n (f=2 failures) ==\n");
-        let ns: &[usize] = if quick {
-            &[4, 8, 16]
-        } else {
-            &[2, 4, 8, 16, 32]
-        };
-        show(&piggyback_scaling(ns, 2));
-    }
-    if run("asynchrony") {
-        println!("== E1c/E7: recovery under a network partition ==\n");
-        show(&asynchrony_under_partition(n));
-    }
-    if run("concurrent") {
-        println!("== E1d: concurrent failures ==\n");
-        let ks: &[usize] = if quick { &[1, 3] } else { &[1, 2, 4] };
-        show(&concurrent_failures(n, ks));
-    }
-    if run("ordering") {
-        println!("== E1e: message-ordering assumptions ==\n");
-        show(&ordering_assumptions(n));
-    }
-    if run("overhead") {
-        println!("== E4: Section 6.9 overhead analysis ==\n");
-        let ns: &[usize] = if quick { &[4, 16] } else { &[4, 8, 16, 32] };
-        let fs: &[u32] = if quick { &[0, 2] } else { &[0, 1, 2, 4] };
-        show(&overhead(ns, fs));
-    }
-    if run("optimism") {
-        println!("== E5: the optimism trade-off (flush interval sweep) ==\n");
-        let intervals: &[u64] = if quick {
-            &[1_000, 50_000]
-        } else {
-            &[500, 2_000, 10_000, 50_000, 200_000]
-        };
-        show(&optimism(intervals));
-    }
-    if run("domino") {
-        println!("== E6: cascading rollbacks (SY) vs minimal rollback (DG) ==\n");
-        let sizes: &[usize] = if quick { &[4, 6] } else { &[4, 6, 8, 10] };
-        show(&domino(sizes, seeds));
-    }
-    if run("maxstate") {
-        println!("== E8: maximum recoverable state ==\n");
-        println!("{}", max_recoverable_state(n, seeds.min(5)));
-    }
-    if run("commit") {
-        println!("== E10 (ablation): output-commit latency vs gossip interval ==\n");
-        let intervals: &[u64] = if quick {
-            &[2_000, 50_000]
-        } else {
-            &[1_000, 5_000, 20_000, 100_000]
-        };
-        show(&output_commit_ablation(intervals));
-    }
-    if run("gc") {
-        println!("== E11 (ablation): garbage collection bounds storage ==\n");
-        let lengths: &[u64] = if quick { &[20, 80] } else { &[20, 40, 80, 160] };
-        show(&gc_ablation(lengths));
+    for name in PAPER_EXPERIMENTS {
+        if run(name) {
+            print!(
+                "{}",
+                paper_section(name, quick, csv).expect("a paper experiment")
+            );
+        }
     }
     if run("engine") {
         println!("== E13: engine-only event throughput (sans-IO vs simnet actor) ==\n");

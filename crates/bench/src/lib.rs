@@ -8,9 +8,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod paper;
 pub mod protocols;
 pub mod table;
 
 mod experiments;
 
 pub use experiments::*;
+pub use paper::{paper, paper_section, PAPER_EXPERIMENTS};
