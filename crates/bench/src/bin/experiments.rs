@@ -2,15 +2,18 @@
 //!
 //! ```text
 //! experiments [all|paper|table1|rollbacks|piggyback|asynchrony|concurrent|
-//!              ordering|overhead|optimism|domino|maxstate|commit|gc|lossy|
-//!              engine|scaling|service|load|storage]
+//!              ordering|overhead|optimism|domino|maxstate|commit|gc|
+//!              engine|scaling|storage|lossy]
 //!             [--quick] [--csv]
 //! ```
 //!
-//! `paper` runs the paper's own evaluation, Table 1 through E11, in the
-//! order above; its output is pinned by `tests/golden/paper.txt`.
+//! `all` (the default) runs every experiment in the order above. `paper`
+//! runs the paper's own evaluation, Table 1 through E11; its output is
+//! pinned by `tests/golden/paper.txt`. `engine`, `scaling` and `storage`
+//! also write `BENCH_<name>.json` into the current directory.
 //!
-//! Exits non-zero if any run violates the consistency oracle.
+//! Exits 1 if any run violates the consistency oracle, and 2 with this
+//! usage on an unknown experiment or flag.
 //!
 //! Built with `--features bench-alloc`, the binary installs a counting
 //! global allocator and the `scaling` experiment reports allocations
@@ -59,15 +62,46 @@ const ALLOC_COUNTER: Option<fn() -> u64> = Some(counting_alloc::allocations);
 #[cfg(not(feature = "bench-alloc"))]
 const ALLOC_COUNTER: Option<fn() -> u64> = None;
 
+/// The experiments after the paper's, in the order `all` runs them.
+const SYSTEMS_EXPERIMENTS: [&str; 4] = ["engine", "scaling", "storage", "lossy"];
+
+const FLAGS: [&str; 2] = ["--quick", "--csv"];
+
+/// Refuse the command line: name the culprit, print the usage, exit 2.
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "experiments: {problem}\nusage: experiments [all|paper|{}|{}] [{}]",
+        PAPER_EXPERIMENTS.join("|"),
+        SYSTEMS_EXPERIMENTS.join("|"),
+        FLAGS.join("] ["),
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let which = args
+    let (flags, names): (Vec<&str>, Vec<&str>) = args
         .iter()
-        .find(|a| !a.starts_with("--"))
         .map(String::as_str)
-        .unwrap_or("all");
+        .partition(|a| a.starts_with("--"));
+    if let Some(flag) = flags.iter().find(|f| !FLAGS.contains(f)) {
+        usage(&format!("unknown flag `{flag}`"));
+    }
+    let which = match names[..] {
+        [] => "all",
+        [name] => name,
+        _ => usage("name one experiment"),
+    };
+    let known = ["all", "paper"]
+        .iter()
+        .chain(&PAPER_EXPERIMENTS)
+        .chain(&SYSTEMS_EXPERIMENTS)
+        .any(|&name| name == which);
+    if !known {
+        usage(&format!("unknown experiment `{which}`"));
+    }
+    let quick = flags.contains(&"--quick");
+    let csv = flags.contains(&"--csv");
 
     let (n, seeds) = if quick { (6, 3) } else { (8, 10) };
 
@@ -101,26 +135,6 @@ fn main() {
         println!();
     }
     let mut violations = 0u64;
-    if run("service") {
-        println!("== E16: served store — client-visible latency through a crash ==\n");
-        let (t, json, v) = service(quick);
-        show(&t);
-        std::fs::write("BENCH_service.json", json).expect("write BENCH_service.json");
-        println!("wrote BENCH_service.json");
-        println!();
-        violations += v;
-    }
-    if run("load") {
-        println!(
-            "== E18: the front door at scale — open-loop load vs the closed-loop baseline ==\n"
-        );
-        let (t, json, v) = load(quick);
-        show(&t);
-        std::fs::write("BENCH_load.json", json).expect("write BENCH_load.json");
-        println!("wrote BENCH_load.json");
-        println!();
-        violations += v;
-    }
     if run("storage") {
         println!("== E17: the storage engine — delta checkpoints, group commit, pruning ==\n");
         let (t, json, v) = storage(quick);

@@ -1362,180 +1362,6 @@ pub fn scaling(quick: bool, alloc_counter: Option<fn() -> u64>) -> (TextTable, S
 }
 
 // ---------------------------------------------------------------------
-// E16 — client-visible service latency and goodput through a crash
-// ---------------------------------------------------------------------
-
-/// The served store under closed-loop clients with a replica killed
-/// mid-run: client-visible latency percentiles and goodput, split into
-/// the phase before the crash and the phase from the crash onward (the
-/// recovery dip is the number under test — exactly-once semantics cost
-/// availability during the outage, never correctness).
-///
-/// Returns the table, a JSON record for `BENCH_service.json`, and the
-/// number of oracle violations (service contract + protocol).
-pub fn service(quick: bool) -> (TextTable, String, u64) {
-    use std::time::{Duration, Instant};
-
-    use dg_core::EngineView;
-    use dg_harness::service_oracle::{self, ServiceJournal};
-    use dg_service::{ClientOptions, ServiceClient, ServiceCluster, SvcError};
-
-    let n = if quick { 3 } else { 4 };
-    let clients = if quick { 3u64 } else { 4 };
-    let run_for = Duration::from_millis(if quick { 2_000 } else { 4_000 });
-    let crash_at = run_for / 4;
-    let downtime = Duration::from_millis(400);
-
-    let config = DgConfig::serving();
-
-    let svc = ServiceCluster::launch(n, config, None).expect("launch service");
-    let fronts = svc.fronts();
-    let begin = Instant::now();
-    let until = begin + run_for;
-
-    // Closed-loop clients on disjoint keys; each op records its start
-    // offset (for phase attribution) and its client-visible latency.
-    let workers: Vec<_> = (0..clients)
-        .map(|id| {
-            let fronts = fronts.clone();
-            std::thread::spawn(move || {
-                let mut client = ServiceClient::new(
-                    id,
-                    fronts,
-                    ClientOptions {
-                        seed: 0xE16 ^ id,
-                        deadline: Duration::from_secs(10),
-                        ..ClientOptions::default()
-                    },
-                );
-                let mut ops: Vec<(u64, u64)> = Vec::new(); // (start_us, latency_us)
-                let mut deadlined = 0u64;
-                let mut i = 0u64;
-                while Instant::now() < until {
-                    let key = (id + (i % 4) * clients) as u16;
-                    let t0 = Instant::now();
-                    let start_us = u64::try_from((t0 - begin).as_micros()).unwrap_or(u64::MAX);
-                    let result = if i % 3 == 2 {
-                        client.get(key).map(|_| ())
-                    } else {
-                        client.put(key, id * 10_000 + i)
-                    };
-                    match result {
-                        Ok(()) => ops.push((
-                            start_us,
-                            u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
-                        )),
-                        Err(SvcError::Deadline) => deadlined += 1,
-                        Err(SvcError::Protocol) => panic!("client {id}: protocol violation"),
-                    }
-                    i += 1;
-                }
-                (client.into_journal(), ops, deadlined)
-            })
-        })
-        .collect();
-
-    std::thread::sleep(crash_at);
-    svc.crash(ProcessId(1), downtime);
-
-    let mut journal = ServiceJournal::default();
-    let mut ops: Vec<(u64, u64)> = Vec::new();
-    let mut deadlined = 0u64;
-    for worker in workers {
-        let (j, mut o, d) = worker.join().expect("client thread");
-        journal.acked_writes.extend(j.acked_writes);
-        journal.unacked_writes.extend(j.unacked_writes);
-        journal.observed_gets.extend(j.observed_gets);
-        journal.responses.extend(j.responses);
-        ops.append(&mut o);
-        deadlined += d;
-    }
-
-    let quiet = svc.quiesce(Duration::from_secs(60));
-    let (engines, replicas) = svc.shutdown();
-    let mut violations_list = Vec::new();
-    service_oracle::check_service(&journal, &replicas, &mut violations_list);
-    let views: Vec<&dyn dg_core::EngineView> = engines
-        .iter()
-        .map(|e| e as &dyn dg_core::EngineView)
-        .collect();
-    oracle::check_views(&views, &mut violations_list);
-    let mut violations = violations_list.len() as u64;
-    if !quiet {
-        violations += 1;
-    }
-    for v in &violations_list {
-        eprintln!("E16 violation: {v:?}");
-    }
-    let restarts: u64 = engines.iter().map(|e| EngineView::stats(e).restarts).sum();
-
-    let crash_us = u64::try_from(crash_at.as_micros()).unwrap_or(u64::MAX);
-    let pct = |sorted: &[u64], p: f64| -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-    };
-    let mut t = TextTable::new(vec![
-        "phase",
-        "ops acked",
-        "p50 us",
-        "p99 us",
-        "max us",
-        "goodput ops/s",
-    ]);
-    let mut rows_json = Vec::new();
-    let phases: [(&str, bool, f64); 2] = [
-        ("healthy", true, crash_at.as_secs_f64()),
-        ("crash+recovery", false, (run_for - crash_at).as_secs_f64()),
-    ];
-    for (name, before_crash, secs) in &phases {
-        let mut lat: Vec<u64> = ops
-            .iter()
-            .filter(|&&(s, _)| (s < crash_us) == *before_crash)
-            .map(|&(_, l)| l)
-            .collect();
-        lat.sort_unstable();
-        let goodput = lat.len() as f64 / secs;
-        let (p50, p99, max) = (
-            pct(&lat, 0.50),
-            pct(&lat, 0.99),
-            lat.last().copied().unwrap_or(0),
-        );
-        t.row(vec![
-            (*name).to_string(),
-            lat.len().to_string(),
-            p50.to_string(),
-            p99.to_string(),
-            max.to_string(),
-            format!("{goodput:.0}"),
-        ]);
-        rows_json.push(format!(
-            "    {{ \"phase\": \"{name}\", \"ops_acked\": {}, \"p50_us\": {p50}, \
-             \"p99_us\": {p99}, \"max_us\": {max}, \"goodput_ops_per_sec\": {goodput:.1} }}",
-            lat.len(),
-        ));
-    }
-
-    let json = format!(
-        "{}  \"n\": {n},\n  \
-         \"clients\": {clients},\n  \"crash_at_ms\": {},\n  \"downtime_ms\": {},\n  \
-         \"ops_acked\": {},\n  \"ops_deadlined\": {deadlined},\n  \"restarts\": {restarts},\n  \
-         \"violations\": {violations},\n  \
-         \"note\": \"client-visible latency through a replica kill+restart; responses are \
-         released only after output commit, so the contract (no acked write lost, no \
-         rolled-back write observed, exactly-once apply) holds through the outage and the \
-         dip shows up as latency, not as corruption\",\n  \"phases\": [\n{}\n  ]\n}}\n",
-        bench_header("E16_service", quick),
-        crash_at.as_millis(),
-        downtime.as_millis(),
-        ops.len(),
-        rows_json.join(",\n"),
-    );
-    (t, json, violations)
-}
-
-// ---------------------------------------------------------------------
 // E17 — the storage engine: delta checkpoints, group commit, send-log
 // pruning
 // ---------------------------------------------------------------------
@@ -1729,346 +1555,6 @@ pub fn storage(quick: bool) -> (TextTable, String, u64) {
          \"rows\": [\n{}\n  ]\n}}\n",
         bench_header("E17_storage", quick),
         rows_json.join(",\n"),
-    );
-    (t, json, violations)
-}
-
-// ---------------------------------------------------------------------
-// E18 — the front door at scale: open-loop heavy-tailed load vs the
-// closed-loop baseline, with rollback blast radius under a mid-run crash
-// ---------------------------------------------------------------------
-
-/// The batched/pipelined front door under an open-loop, heavy-tailed
-/// load engine, compared against the PR 6-style closed-loop baseline
-/// *measured in the same run*: one client, one request in flight, so
-/// its goodput is pinned to the output-commit latency. The open-loop
-/// arms offer load at a fixed rate regardless of responses (LogNormal
-/// interarrivals and burst sizes, many logical sessions over a bounded
-/// connection pool) and report goodput plus p50/p99/p999 output-commit
-/// latency per offered rate. A final arm per cluster size injects a
-/// replica crash mid-flood and reports the rollback blast radius
-/// (rollbacks, replayed messages, uncommitted outputs discarded per
-/// injected failure). Open-loop latencies run from each request's due
-/// time and the generator's own lateness is reported beside them. Every
-/// arm's journal is audited by the service oracle. (The closed-loop
-/// baseline is one request in flight, so its goodput is 1 / commit
-/// latency; the ratio to it is reported, not gated — it fell from 118x
-/// to single digits when commits stopped waiting for the gossip tick,
-/// because the baseline got faster, not the peak slower.)
-///
-/// Returns the table, a JSON record for `BENCH_load.json`, and the
-/// number of violations (oracle + quiesce).
-pub fn load(quick: bool) -> (TextTable, String, u64) {
-    use std::time::Duration;
-
-    use dg_core::EngineView;
-    use dg_harness::loadgen::LoadConfig;
-    use dg_harness::service_oracle;
-    use dg_service::loadrun::{run_load, LoadOptions, LoadOutcome};
-    use dg_service::{RunConfig, ServiceCluster, ServiceOptions};
-
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-
-    let config = DgConfig::serving();
-
-    /// Blast-radius summary pulled from the engines after shutdown.
-    struct Blast {
-        restarts: u64,
-        rollbacks: u64,
-        replayed: u64,
-        outputs_rolled_back: u64,
-        max_per_failure: u64,
-    }
-
-    // One arm = one fresh cluster (so engine stats are attributable to
-    // this arm alone): launch, drive the schedule, optionally crash a
-    // replica mid-run, quiesce, audit. Returns the outcome, the
-    // blast-radius stats, and the violation count.
-    let run_arm = |n: usize,
-                   cfg: &LoadConfig,
-                   opts: &LoadOptions,
-                   crash: Option<(Duration, Duration)>|
-     -> (LoadOutcome, Blast, u64) {
-        let arm_t0 = std::time::Instant::now();
-        eprintln!(
-            "E18: n={n} total_ops={} mode={:?} crash={} ...",
-            cfg.total_ops,
-            cfg.mode,
-            crash.is_some()
-        );
-        let threads = if n > 8 { Some(cores.min(n)) } else { None };
-        let svc = ServiceCluster::launch_opts(
-            n,
-            config,
-            None,
-            ServiceOptions {
-                run: RunConfig {
-                    node_threads: threads,
-                    ..RunConfig::default()
-                },
-                ..ServiceOptions::default()
-            },
-        )
-        .expect("launch service");
-        let fronts = svc.fronts();
-
-        let out = if let Some((at, downtime)) = crash {
-            let loader = std::thread::spawn({
-                let fronts = fronts.clone();
-                let cfg = *cfg;
-                let opts = *opts;
-                move || run_load(&fronts, &cfg, &opts)
-            });
-            std::thread::sleep(at);
-            svc.crash(ProcessId(1), downtime);
-            loader.join().expect("loader thread")
-        } else {
-            run_load(&fronts, cfg, opts)
-        };
-        eprintln!(
-            "E18: n={n} load done in {:.1}s (acked {} / issued {}, shed {}, abandoned {})",
-            arm_t0.elapsed().as_secs_f64(),
-            out.acked,
-            out.issued,
-            out.shed,
-            out.abandoned
-        );
-
-        let quiet = svc.quiesce(Duration::from_secs(90));
-        eprintln!(
-            "E18: n={n} arm done in {:.1}s (quiet={quiet})",
-            arm_t0.elapsed().as_secs_f64()
-        );
-        let (engines, replicas) = svc.shutdown();
-        let mut violations_list = Vec::new();
-        service_oracle::check_service(&out.journal, &replicas, &mut violations_list);
-        let views: Vec<&dyn dg_core::EngineView> = engines
-            .iter()
-            .map(|e| e as &dyn dg_core::EngineView)
-            .collect();
-        oracle::check_views(&views, &mut violations_list);
-        for v in &violations_list {
-            eprintln!("E18 violation (n={n}): {v:?}");
-        }
-        let mut violations = violations_list.len() as u64;
-        if !quiet {
-            eprintln!("E18 violation (n={n}): failed to quiesce");
-            violations += 1;
-        }
-
-        let mut blast = Blast {
-            restarts: 0,
-            rollbacks: 0,
-            replayed: 0,
-            outputs_rolled_back: 0,
-            max_per_failure: 0,
-        };
-        let mut per_failure: std::collections::BTreeMap<dg_core::FailureId, u64> =
-            std::collections::BTreeMap::new();
-        for e in &engines {
-            let s = EngineView::stats(e);
-            blast.restarts += s.restarts;
-            blast.rollbacks += s.rollbacks;
-            blast.replayed += s.messages_replayed;
-            blast.outputs_rolled_back += s.outputs_rolled_back;
-            for (fid, count) in &s.rollbacks_by_failure {
-                *per_failure.entry(*fid).or_insert(0) += count;
-            }
-        }
-        blast.max_per_failure = per_failure.values().copied().max().unwrap_or(0);
-        (out, blast, violations)
-    };
-
-    let ns: &[usize] = if quick { &[4] } else { &[4, 16, 64] };
-    // Offered open-loop rates per cluster size (requests/second).
-    let rates = |n: usize| -> &'static [f64] {
-        if quick {
-            &[3_000.0]
-        } else if n == 4 {
-            &[1_000.0, 5_000.0, 20_000.0]
-        } else if n == 16 {
-            &[1_000.0, 5_000.0]
-        } else {
-            // A 64-node mesh multiplexed over this box's cores saturates
-            // early; offer rates around the knee so the sweep shows it
-            // without drowning the run in abandoned-retry tails.
-            &[500.0, 1_000.0]
-        }
-    };
-    let arm_secs = if quick { 1.0 } else { 2.0 };
-    let opts = LoadOptions {
-        connections: 4,
-        attempt_timeout: Duration::from_millis(300),
-        deadline: Duration::from_secs(10),
-    };
-
-    let mut t = TextTable::new(vec![
-        "n",
-        "arm",
-        "offered/s",
-        "sessions",
-        "acked",
-        "shed",
-        "goodput/s",
-        "p50 us",
-        "p99 us",
-        "p999 us",
-        "late p99 us",
-    ]);
-    let mut clusters_json = Vec::new();
-    let mut violations = 0u64;
-    let mut max_speedup = 0.0f64;
-    let mut seed = 0xE18u64;
-
-    for &n in ns {
-        // Baseline: one session, one connection, one request in flight —
-        // exactly the PR 6 service demo's discipline, driven through the
-        // same loadrun plumbing so the metric and the witness match.
-        seed += 1;
-        let base_ops = if quick {
-            80
-        } else if n >= 64 {
-            // One request in flight against a 64-node mesh is dominated
-            // by commit latency; fewer ops keep the arm bounded.
-            120
-        } else {
-            240
-        };
-        let mut base_cfg = LoadConfig::closed(seed, 1, base_ops, 1);
-        base_cfg.key_space = 8;
-        base_cfg.write_fraction = 0.5;
-        let base_opts = LoadOptions {
-            connections: 1,
-            ..opts
-        };
-        let (base, _, v) = run_arm(n, &base_cfg, &base_opts, None);
-        violations += v;
-        let base_goodput = base.goodput();
-        t.row(vec![
-            n.to_string(),
-            "closed base".to_string(),
-            "-".to_string(),
-            "1".to_string(),
-            base.acked.to_string(),
-            "0".to_string(),
-            format!("{base_goodput:.0}"),
-            base.latency_quantile_us(0.5).to_string(),
-            base.latency_quantile_us(0.99).to_string(),
-            base.latency_quantile_us(0.999).to_string(),
-            "-".to_string(),
-        ]);
-
-        // Open-loop offered-load sweep. The top rate at n=4 runs the
-        // session-scale showcase: two million logical sessions over the
-        // same four connections.
-        let mut arms_json = Vec::new();
-        let mut peak = 0.0f64;
-        for &rate in rates(n) {
-            seed += 1;
-            let sessions = if !quick && n == 4 && rate >= 20_000.0 {
-                2_000_000
-            } else {
-                20_000
-            };
-            let total_ops = (rate * arm_secs) as u64;
-            let cfg = LoadConfig::open(seed, sessions, total_ops, rate);
-            let (out, _, v) = run_arm(n, &cfg, &opts, None);
-            violations += v;
-            let goodput = out.goodput();
-            peak = peak.max(goodput);
-            let (p50, p99, p999, late_p99) = (
-                out.latency_quantile_us(0.5),
-                out.latency_quantile_us(0.99),
-                out.latency_quantile_us(0.999),
-                out.lateness_quantile_us(0.99),
-            );
-            t.row(vec![
-                n.to_string(),
-                "open".to_string(),
-                format!("{rate:.0}"),
-                sessions.to_string(),
-                out.acked.to_string(),
-                out.shed.to_string(),
-                format!("{goodput:.0}"),
-                p50.to_string(),
-                p99.to_string(),
-                p999.to_string(),
-                late_p99.to_string(),
-            ]);
-            arms_json.push(format!(
-                "        {{ \"offered_ops_per_sec\": {rate:.0}, \"sessions\": {sessions}, \
-                 \"issued\": {}, \"acked\": {}, \"shed\": {}, \"retries\": {}, \
-                 \"abandoned\": {}, \"goodput_ops_per_sec\": {goodput:.1}, \
-                 \"p50_us\": {p50}, \"p99_us\": {p99}, \"p999_us\": {p999}, \
-                 \"late_p99_us\": {late_p99} }}",
-                out.issued, out.acked, out.shed, out.retries, out.abandoned,
-            ));
-        }
-        let speedup = peak / base_goodput.max(1e-9);
-        max_speedup = max_speedup.max(speedup);
-
-        // Crash arm: a replica dies under open-loop flood; the blast
-        // radius is what recovery rolled back and replayed, per failure.
-        seed += 1;
-        let crash_rate = if n >= 64 { 500.0 } else { 2_000.0 };
-        let cfg = LoadConfig::open(seed, 20_000, (crash_rate * arm_secs) as u64, crash_rate);
-        let (out, blast, v) = run_arm(
-            n,
-            &cfg,
-            &opts,
-            Some((Duration::from_millis(500), Duration::from_millis(300))),
-        );
-        violations += v;
-        if blast.restarts == 0 {
-            eprintln!("E18 violation (n={n}): crash arm recorded no restart");
-            violations += 1;
-        }
-        t.row(vec![
-            n.to_string(),
-            "open+crash".to_string(),
-            format!("{crash_rate:.0}"),
-            "20000".to_string(),
-            out.acked.to_string(),
-            out.shed.to_string(),
-            format!("{:.0}", out.goodput()),
-            out.latency_quantile_us(0.5).to_string(),
-            out.latency_quantile_us(0.99).to_string(),
-            out.latency_quantile_us(0.999).to_string(),
-            out.lateness_quantile_us(0.99).to_string(),
-        ]);
-
-        clusters_json.push(format!(
-            "    {{ \"n\": {n},\n      \"baseline_goodput_ops_per_sec\": {base_goodput:.1},\n      \
-             \"peak_goodput_ops_per_sec\": {peak:.1},\n      \
-             \"speedup_vs_baseline\": {speedup:.1},\n      \"arms\": [\n{}\n      ],\n      \
-             \"crash\": {{ \"offered_ops_per_sec\": {crash_rate:.0}, \"acked\": {}, \
-             \"abandoned\": {}, \"goodput_ops_per_sec\": {:.1}, \"restarts\": {}, \
-             \"rollbacks\": {}, \"messages_replayed\": {}, \"outputs_rolled_back\": {}, \
-             \"max_rollbacks_per_failure\": {} }}\n    }}",
-            arms_json.join(",\n"),
-            out.acked,
-            out.abandoned,
-            out.goodput(),
-            blast.restarts,
-            blast.rollbacks,
-            blast.replayed,
-            blast.outputs_rolled_back,
-            blast.max_per_failure,
-        ));
-    }
-
-    let json = format!(
-        "{}  \"max_speedup_vs_baseline\": {max_speedup:.1},\n  \
-         \"violations\": {violations},\n  \
-         \"note\": \"open-loop heavy-tailed load (LogNormal interarrivals and burst sizes) \
-         against the batched front door, vs a same-run closed-loop baseline (one request in \
-         flight, so its goodput is 1 / commit latency). every arm is a fresh cluster audited \
-         by the service oracle; the crash arm kills a replica mid-flood and reports the \
-         rollback blast radius per injected failure. latencies are output-commit latencies: \
-         due time (open arms) or first send (baseline) to committed acknowledgement; \
-         late_p99_us is how late the generator itself sent, already included in them.\",\n  \"clusters\": [\n{}\n  ]\n}}\n",
-        bench_header("E18_load", quick),
-        clusters_json.join(",\n"),
     );
     (t, json, violations)
 }

@@ -19,18 +19,13 @@
 //! * [`service_oracle`] — the client-visible contract checker for the
 //!   served store (`dg-service`): no acked write lost, no phantom read,
 //!   no duplicate side effect, replica convergence, deterministic
-//!   answers;
-//! * [`loadgen`] — seeded open-loop/closed-loop load schedules with
-//!   heavy-tailed (LogNormal) interarrivals and burst sizes, burst and
-//!   diurnal rate envelopes, and single-writer session→key discipline
-//!   so the service oracle stays decisive under load.
+//!   answers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod explorer;
 mod faults;
-pub mod loadgen;
 pub mod oracle;
 mod report;
 mod runner;

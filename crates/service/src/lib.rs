@@ -58,7 +58,6 @@
 
 pub mod chaos;
 mod client;
-pub mod loadrun;
 pub mod metrics;
 pub mod wire;
 
