@@ -1,9 +1,10 @@
 //! Experiment library reproducing the paper's evaluation artifacts.
 //!
-//! Each function implements one experiment from DESIGN.md's index
-//! (E1a–E8) and returns structured results; the `experiments` binary
-//! renders them as the paper-style tables recorded in EXPERIMENTS.md,
-//! and the Criterion benches time representative slices.
+//! Each function implements one experiment from DESIGN.md's index and
+//! returns structured results; the `experiments` binary renders them as
+//! the paper-style tables recorded in EXPERIMENTS.md, and [`paper()`]
+//! renders the paper's own evaluation as `tests/golden/paper.txt` pins
+//! it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

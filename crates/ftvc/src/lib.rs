@@ -2,9 +2,9 @@
 //!
 //! This crate implements the paper's central data structure — the
 //! **fault-tolerant vector clock** ([`Ftvc`], Figure 2 of the paper) — plus
-//! the classic clocks it generalizes ([`VectorClock`], [`LamportClock`]) and
-//! a compact wire encoding ([`wire`]) used by the benchmark harness to
-//! measure piggyback overhead honestly.
+//! the classic vector clock it generalizes ([`VectorClock`]) and a compact
+//! wire encoding ([`wire`]) used by the benchmark harness to measure
+//! piggyback overhead honestly.
 //!
 //! # The fault-tolerant vector clock
 //!
@@ -35,13 +35,11 @@
 pub mod arena;
 mod entry;
 mod ftvc;
-mod lamport;
 mod ordering;
 mod vector;
 pub mod wire;
 
 pub use entry::{Entry, ProcessId, Version};
 pub use ftvc::Ftvc;
-pub use lamport::LamportClock;
 pub use ordering::CausalOrder;
 pub use vector::VectorClock;
