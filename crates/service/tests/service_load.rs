@@ -97,8 +97,9 @@ fn written(op: SvcOp) -> Option<Option<u64>> {
 /// ahead of that session's oldest unanswered one: the service's session
 /// table remembers `SESSION_WINDOW` = 2 × 64 completions, so a deeper
 /// span can evict a request that is still being retried, and the
-/// service then drops that retry unanswered. The end-to-end rules are
-/// the service's: an unanswered request is
+/// service then drops that retry unanswered.
+///
+/// The end-to-end rules are the service's: an unanswered request is
 /// re-sent with the same id after `attempt`, a shed one waits a full
 /// `attempt` before its retry, a broken connection moves to the next
 /// front, and a request unanswered after `deadline` is abandoned into
